@@ -1,7 +1,7 @@
 GO ?= go
 SQLVET := $(CURDIR)/bin/sqlvet
 
-.PHONY: all build test race lint vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench clean
+.PHONY: all build test race lint vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench benchmark-check clean
 
 all: build lint test
 
@@ -51,6 +51,13 @@ vulncheck:
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/sqldb
+	$(GO) test -run '^$$' -bench 'BenchmarkProxyTwoProducers|BenchmarkTransformMatrix|BenchmarkSelectToolOverhead' -benchtime=1x ./internal/core
+
+# benchmark/ is a module of its own, so build, vet and test above do not see
+# it: a change under internal/ can break the repository benchmark unnoticed.
+# Run this with every such change.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 clean:
 	rm -rf bin sqlvet.sarif

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,24 +51,43 @@ func (t *Toolkit) registerProxyTool() {
 // runProxyUnit executes one proxy unit ⟨p, c, f⟩ (paper §2.5): resolve every
 // producer (bottom-up, siblings in parallel), apply the adaptation
 // functions, then invoke the consumer and return its result to the caller.
+// All run in process; nothing is encoded until the result leaves the server.
 func (t *Toolkit) runProxyUnit(ctx context.Context, target string, args map[string]any) (any, error) {
 	resolved, err := t.resolveArgs(ctx, args)
 	if err != nil {
 		return nil, err
 	}
-	res, err := t.client.CallTool(ctx, target, resolved)
+	out, err := t.callTool(ctx, "consumer", target, resolved)
 	if err != nil {
-		return nil, fmt.Errorf("proxy: consumer %q: %w", target, err)
+		return nil, fmt.Errorf("proxy: %w", err)
 	}
-	if res.IsErr {
-		return nil, fmt.Errorf("proxy: consumer %q failed: %s", target, strings.TrimPrefix(res.Text, "ERROR: "))
+	return out, nil
+}
+
+// callTool runs one tool as role ("producer" or "consumer"). Lookup and
+// handler are those a client's call gets: a tool the policy hid stays out of
+// reach, and a SQL tool verifies its statement as for a direct call.
+func (t *Toolkit) callTool(ctx context.Context, role, name string, args map[string]any) (any, error) {
+	tool, ok := t.reg.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("%s %q: %w", role, name,
+			&mcp.RPCError{Code: mcp.CodeMethodNotFound, Message: fmt.Sprintf("unknown tool %q", name)})
 	}
-	return res, nil
+	out, err := tool.Handler(ctx, args)
+	if err != nil {
+		return nil, fmt.Errorf("%s %q failed: %w", role, name, err)
+	}
+	// A bridge to another server hands back that server's encoded result.
+	if cr, ok := out.(mcp.CallResult); ok && cr.IsErr {
+		return nil, fmt.Errorf("%s %q failed: %s", role, name, strings.TrimPrefix(cr.Text, "ERROR: "))
+	}
+	return out, nil
 }
 
 // resolveArgs replaces every producer spec in args with its produced,
 // transformed value. Sibling producers execute concurrently unless the
-// policy disables parallelism.
+// policy disables parallelism; when several fail, the one with the lowest
+// argument name is reported, whichever failed first.
 func (t *Toolkit) resolveArgs(ctx context.Context, args map[string]any) (map[string]any, error) {
 	out := make(map[string]any, len(args))
 	type job struct {
@@ -84,40 +104,29 @@ func (t *Toolkit) resolveArgs(ctx context.Context, args map[string]any) (map[str
 	}
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].key < jobs[j].key })
 
+	vals, errs := make([]any, len(jobs)), make([]error, len(jobs))
 	if t.policy.DisableParallelProxy || len(jobs) <= 1 {
-		for _, j := range jobs {
-			v, err := t.runProducer(ctx, j.spec)
-			if err != nil {
-				return nil, fmt.Errorf("proxy: argument %q: %w", j.key, err)
+		for i, j := range jobs {
+			if vals[i], errs[i] = t.runProducer(ctx, j.spec); errs[i] != nil {
+				break
 			}
-			out[j.key] = v
 		}
-		return out, nil
+	} else {
+		var wg sync.WaitGroup
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vals[i], errs[i] = t.runProducer(ctx, j.spec)
+			}()
+		}
+		wg.Wait()
 	}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for _, j := range jobs {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := t.runProducer(ctx, j.spec)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("proxy: argument %q: %w", j.key, err)
-				}
-				return
-			}
-			out[j.key] = v
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, j := range jobs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("proxy: argument %q: %w", j.key, errs[i])
+		}
+		out[j.key] = vals[i]
 	}
 	return out, nil
 }
@@ -135,8 +144,8 @@ func producerSpec(v any) (map[string]any, bool) {
 }
 
 // runProducer executes one producer: resolve its own arguments recursively
-// (this is what makes proxy units hierarchical), call the tool, then apply
-// the adaptation function f.
+// (this is what makes proxy units hierarchical), call the tool, apply the
+// adaptation function f, and put the outcome in the shapes a handler expects.
 func (t *Toolkit) runProducer(ctx context.Context, spec map[string]any) (any, error) {
 	name, _ := spec[proxyToolKey].(string)
 	rawArgs, _ := spec[proxyArgsKey].(map[string]any)
@@ -144,23 +153,97 @@ func (t *Toolkit) runProducer(ctx context.Context, spec map[string]any) (any, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := t.client.CallTool(ctx, name, resolved)
+	out, err := t.callTool(ctx, "producer", name, resolved)
 	if err != nil {
-		return nil, fmt.Errorf("producer %q: %w", name, err)
+		return nil, err
 	}
-	if res.IsErr {
-		return nil, fmt.Errorf("producer %q failed: %s", name, strings.TrimPrefix(res.Text, "ERROR: "))
-	}
-	var value any
-	if len(res.Data) > 0 {
-		if err := json.Unmarshal(res.Data, &value); err != nil {
-			return nil, fmt.Errorf("producer %q returned unparseable data: %w", name, err)
-		}
-	} else {
-		value = res.Text
+	value, err := producedValue(name, out)
+	if err != nil {
+		return nil, err
 	}
 	transform, _ := spec[proxyTransformKey].(string)
-	return ApplyTransform(transform, value)
+	v, err := ApplyTransform(transform, value)
+	if err != nil {
+		return nil, err
+	}
+	return jsonShape(v)
+}
+
+// producedValue is what a transform sees of a producer's result: what a
+// client would have found in CallResult.Data (or Text, without Data), taken
+// from the Go value unrendered.
+func producedValue(name string, out any) (any, error) {
+	switch v := out.(type) {
+	case nil:
+		return "OK", nil
+	case *Result:
+		if len(v.Columns) == 0 {
+			return v.Text(), nil
+		}
+		return v.tabular(), nil
+	case mcp.CallResult:
+		// Encoded by another server, so this data did cross a wire.
+		if len(v.Data) == 0 {
+			return v.Text, nil
+		}
+		var value any
+		if err := json.Unmarshal(v.Data, &value); err != nil {
+			return nil, fmt.Errorf("producer %q returned unparseable data: %w", name, err)
+		}
+		return value, nil
+	}
+	return jsonShape(out)
+}
+
+// jsonShape returns v in the shapes json.Unmarshal into any gives — what a
+// handler's arguments look like — by one typed walk, no encoding. Dense
+// []float64 and [][]float64 pass as they are; a leaf of any other type takes
+// one marshal/unmarshal. Containers are rebuilt; the producer may keep its own.
+func jsonShape(v any) (any, error) {
+	switch x := v.(type) {
+	case nil, bool, float64, string, []float64, [][]float64:
+		return v, nil
+	case int:
+		return float64(x), nil
+	case int64:
+		return float64(x), nil
+	case []any:
+		return shapeSlice(x)
+	case [][]any:
+		return shapeSlice(x)
+	case []string:
+		return shapeSlice(x)
+	case map[string]any:
+		out := make(map[string]any, len(x))
+		for k, e := range x {
+			var err error
+			if out[k], err = jsonShape(e); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("produced value not serializable: %w", err)
+	}
+	var out any
+	err = json.Unmarshal(raw, &out)
+	return out, err
+}
+
+func shapeSlice[T any](xs []T) (any, error) {
+	if xs == nil {
+		return nil, nil // as JSON null decodes
+	}
+	out := make([]any, len(xs))
+	for i, x := range xs {
+		var err error
+		if out[i], err = jsonShape(x); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ApplyTransform evaluates a transform expression against a produced value.
@@ -218,6 +301,9 @@ func applyOneTransform(step string, v any) (any, error) {
 		if ci < 0 {
 			return nil, fmt.Errorf("transform column:%s: no such column (have %v)", arg, cols)
 		}
+		if err := shortRow(step, rows, ci); err != nil {
+			return nil, err
+		}
 		out := make([]any, 0, len(rows))
 		for _, r := range rows {
 			out = append(out, r[ci])
@@ -244,6 +330,11 @@ func applyOneTransform(step string, v any) (any, error) {
 					return nil, fmt.Errorf("transform matrix: no column %q (have %v)", c, cols)
 				}
 				idx = append(idx, ci)
+			}
+		}
+		if len(idx) > 0 {
+			if err := shortRow(step, rows, slices.Max(idx)); err != nil {
+				return nil, err
 			}
 		}
 		out := make([][]float64, 0, len(rows))
@@ -273,6 +364,9 @@ func applyOneTransform(step string, v any) (any, error) {
 			if ci < 0 {
 				return nil, fmt.Errorf("transform vector: no column %q (have %v)", arg, cols)
 			}
+		}
+		if err := shortRow(step, rows, ci); err != nil {
+			return nil, err
 		}
 		out := make([]float64, 0, len(rows))
 		for ri, r := range rows {
@@ -338,6 +432,17 @@ func resultRows(v any) ([][]any, []string, error) {
 	}
 	cols, _ := toStringSlice(m["columns"])
 	return rows, cols, nil
+}
+
+// shortRow reports the first row that has no column ci. A tool may return
+// scalar or ragged rows, so that is an error of the input, not a bug.
+func shortRow(step string, rows [][]any, ci int) error {
+	for ri, r := range rows {
+		if ci >= len(r) {
+			return fmt.Errorf("transform %s: row %d has %d value(s), no column at index %d", step, ri, len(r), ci)
+		}
+	}
+	return nil
 }
 
 func toStringSlice(v any) ([]string, bool) {

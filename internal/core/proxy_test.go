@@ -204,6 +204,24 @@ func TestProxySecurityStillApplies(t *testing.T) {
 	if !res.IsErr || !strings.Contains(res.Text, "permission denied") {
 		t.Fatalf("proxy must not bypass verification, got %q", res.Text)
 	}
+
+	// The proxy looks tools up in the registry a client's calls go through:
+	// a tool the policy hid is no target and no producer.
+	hidden := adminToolkit(t, e, Policy{ToolBlacklist: []string{"delete"}})
+	capture(hidden, "sink")
+	del := map[string]any{"sql": "DELETE FROM items"}
+	for what, args := range map[string]map[string]any{
+		"target":   {"target_tool": "delete", "tool_args": del},
+		"producer": {"target_tool": "sink", "tool_args": map[string]any{"x": map[string]any{"__tool__": "delete", "__args__": del}}},
+	} {
+		res := call(t, hidden, "proxy", args)
+		if !res.IsErr || !strings.Contains(res.Text, `unknown tool "delete"`) {
+			t.Fatalf("hidden %s must stay unreachable through proxy, got %q", what, res.Text)
+		}
+	}
+	if left := e.NewSession("root").MustExec("SELECT COUNT(*) FROM items").Rows[0][0].I; left != 3 {
+		t.Fatalf("rows were deleted through the proxy: %v left", left)
+	}
 }
 
 func TestTransforms(t *testing.T) {

@@ -10,14 +10,6 @@ import (
 	"bridgescope/internal/textsim"
 )
 
-func jsonMarshal(v any) (json.RawMessage, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 func (t *Toolkit) registerContextTools() {
 	t.reg.Register(&mcp.Tool{
 		Name: "get_schema",
@@ -188,7 +180,7 @@ func (t *Toolkit) getValue(table, column, key string, k int) (any, error) {
 	for i, m := range matches {
 		out[i] = m.Value
 	}
-	raw, err := jsonMarshal(map[string]any{"values": out})
+	raw, err := json.Marshal(map[string]any{"values": out})
 	if err != nil {
 		return nil, err
 	}

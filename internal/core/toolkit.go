@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -42,7 +43,7 @@ type Toolkit struct {
 	conn   Conn
 	policy Policy
 	reg    *mcp.Registry
-	client *mcp.Client // loops back to reg; used by the proxy tool
+	client *mcp.Client // serves reg; what Client hands to agents
 }
 
 // New builds a BridgeScope toolkit over conn with the given policy. The
@@ -163,20 +164,24 @@ func (t *Toolkit) execSQL(spec sqlToolSpec, sql string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mcpResult(res), nil
+	return res, nil
 }
 
-// mcpResult packages a database result so the text reaches the LLM while
-// the structured payload remains available for proxy data transfer.
-func mcpResult(res *Result) mcp.CallResult {
-	cr := mcp.CallResult{Text: res.Text()}
-	if len(res.Columns) > 0 {
-		raw, err := jsonMarshal(map[string]any{"columns": res.Columns, "rows": res.Rows})
-		if err == nil {
+// Render implements mcp.Renderer: the text table reaches the LLM, and a
+// result with columns carries its tabular form as Data.
+func (r *Result) Render() mcp.CallResult {
+	cr := mcp.CallResult{Text: r.Text()}
+	if len(r.Columns) > 0 {
+		if raw, err := json.Marshal(r.tabular()); err == nil {
 			cr.Data = raw
 		}
 	}
 	return cr
+}
+
+// tabular is what Render encodes as Data and the proxy hands to transforms.
+func (r *Result) tabular() map[string]any {
+	return map[string]any{"columns": r.Columns, "rows": r.Rows}
 }
 
 func (t *Toolkit) registerTxnTools() {

@@ -2,9 +2,12 @@
 // protocol-style registry of tools with JSON-RPC request/response envelopes
 // over an in-memory transport.
 //
-// Every argument and result crosses a JSON serialization boundary exactly as
-// it would over a real MCP connection, so payload sizes — the quantity the
-// paper's token accounting measures — are faithful.
+// Every argument and result that passes between the model and a server
+// crosses a JSON serialization boundary exactly as it would over a real MCP
+// connection, so payload sizes — the quantity the paper's token accounting
+// measures — are faithful. Hand-offs between tools of one server (the proxy
+// calling its siblings' handlers) deliberately do not: that data never reaches
+// the model, and Server.Handle is the only place a result is encoded.
 package mcp
 
 import (
@@ -15,9 +18,16 @@ import (
 	"sync"
 )
 
-// Handler executes a tool call. Results are marshaled to JSON; returning a
-// string yields a plain-text content payload.
+// Handler executes a tool call. Server.Handle encodes what it returns: a
+// string as a plain-text payload, a Renderer by its Render, the rest as JSON.
 type Handler func(ctx context.Context, args map[string]any) (any, error)
+
+// Renderer is a handler result whose wire form is not its json.Marshal form
+// (a database result shows the model a text table and carries its rows as
+// Data). Only Server.Handle calls Render.
+type Renderer interface {
+	Render() CallResult
+}
 
 // Tool is one callable tool with its JSON-schema-style input description.
 type Tool struct {
@@ -217,6 +227,8 @@ func renderResult(out any) (CallResult, error) {
 		return CallResult{Text: v}, nil
 	case CallResult:
 		return v, nil
+	case Renderer:
+		return v.Render(), nil
 	default:
 		raw, err := json.Marshal(v)
 		if err != nil {
@@ -237,8 +249,7 @@ type Client struct {
 // NewClient connects a client to a server.
 func NewClient(srv *Server) *Client { return &Client{srv: srv} }
 
-// Registry exposes the server's registry (used by the proxy tool, which is
-// itself a tool that must call sibling tools directly).
+// Registry exposes the registry of the server this client talks to.
 func (c *Client) Registry() *Registry { return c.srv.Registry }
 
 func (c *Client) roundTrip(ctx context.Context, method string, params any) (json.RawMessage, error) {

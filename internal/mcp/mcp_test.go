@@ -168,3 +168,31 @@ func TestConcurrentCalls(t *testing.T) {
 		}
 	}
 }
+
+type renderedOnce struct{ renders int }
+
+func (r *renderedOnce) Render() CallResult {
+	r.renders++
+	return CallResult{Text: "a | b\n(0 rows)", Data: json.RawMessage(`{"columns":["a","b"],"rows":null}`)}
+}
+
+// A Renderer result is encoded by Server.Handle, once, with its own Text and
+// Data rather than its json.Marshal form.
+func TestRendererResultIsRenderedAtTheServer(t *testing.T) {
+	reg := NewRegistry()
+	out := &renderedOnce{}
+	reg.Register(&Tool{
+		Name:    "table",
+		Handler: func(ctx context.Context, args map[string]any) (any, error) { return out, nil },
+	})
+	res, err := NewClient(NewServer(reg)).CallTool(context.Background(), "table", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.renders != 1 {
+		t.Fatalf("rendered %d times, want once", out.renders)
+	}
+	if res.Text != "a | b\n(0 rows)" || string(res.Data) != `{"columns":["a","b"],"rows":null}` || res.IsErr {
+		t.Fatalf("unexpected wire result %+v", res)
+	}
+}

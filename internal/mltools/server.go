@@ -2,7 +2,6 @@ package mltools
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -127,7 +126,7 @@ func (s *Server) handleZScore(ctx context.Context, args map[string]any) (any, er
 	if err != nil {
 		return nil, err
 	}
-	return result(map[string]any{"features": norm, "means": means, "stds": stds})
+	return map[string]any{"features": norm, "means": means, "stds": stds}, nil
 }
 
 // trainArgs extracts features/target and, when the caller's features came
@@ -210,12 +209,12 @@ func trainResult(id, kind string, predict func([][]float64) ([]float64, error),
 	}
 	rmseTe, _ := RMSE(predTe, yTe)
 	r2Te, _ := R2(predTe, yTe)
-	return result(map[string]any{
+	return map[string]any{
 		"model_id": id, "model_type": kind,
 		"n_train": len(xTr), "n_test": len(xTe),
 		"rmse_train": rmseTr, "rmse_test": rmseTe,
 		"r2_train": r2Tr, "r2_test": r2Te,
-	})
+	}, nil
 }
 
 func (s *Server) handlePredict(ctx context.Context, args map[string]any) (any, error) {
@@ -246,7 +245,7 @@ func (s *Server) handlePredict(ctx context.Context, args map[string]any) (any, e
 	if err != nil {
 		return nil, err
 	}
-	return result(map[string]any{"predictions": preds})
+	return map[string]any{"predictions": preds}, nil
 }
 
 func (s *Server) handleEvaluate(ctx context.Context, args map[string]any) (any, error) {
@@ -266,7 +265,7 @@ func (s *Server) handleEvaluate(ctx context.Context, args map[string]any) (any, 
 	if err != nil {
 		return nil, err
 	}
-	return result(map[string]any{"rmse": rmse, "r2": r2})
+	return map[string]any{"rmse": rmse, "r2": r2}, nil
 }
 
 func (s *Server) handleTrend(ctx context.Context, args map[string]any) (any, error) {
@@ -289,21 +288,10 @@ func (s *Server) handleTrend(ctx context.Context, args map[string]any) (any, err
 	if len(out) == 0 {
 		return nil, fmt.Errorf("trend_analyze: provide sales, refunds, or series")
 	}
-	return result(out)
+	return out, nil
 }
 
-// result returns a tool payload. The JSON is both the visible text (what an
-// LLM reads and may have to copy onward — the cost Table 2 measures) and the
-// structured data the proxy forwards directly.
-func result(data map[string]any) (any, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return nil, err
-	}
-	return mcp.CallResult{Text: string(raw), Data: raw}, nil
-}
-
-// --- argument coercion (values arrive as decoded JSON) ---
+// --- argument coercion (decoded JSON from the model, dense floats from the proxy) ---
 
 func argMatrix(args map[string]any, key string) ([][]float64, error) {
 	v, ok := args[key]

@@ -70,7 +70,7 @@ func New(conn core.Conn, opts Options) *Toolkit {
 			if err != nil {
 				return nil, err
 			}
-			return toCallResult(res), nil
+			return res, nil
 		},
 	})
 	return t
@@ -133,15 +133,4 @@ func (t *Toolkit) schemaDump() string {
 		return "The database has no tables."
 	}
 	return sb.String()
-}
-
-func toCallResult(res *core.Result) mcp.CallResult {
-	cr := mcp.CallResult{Text: res.Text()}
-	if len(res.Columns) > 0 {
-		raw, err := jsonMarshal(map[string]any{"columns": res.Columns, "rows": res.Rows})
-		if err == nil {
-			cr.Data = raw
-		}
-	}
-	return cr
 }

@@ -92,3 +92,16 @@ func TestMissingSQLArgument(t *testing.T) {
 		t.Fatalf("missing sql must error: %s", res.Text)
 	}
 }
+
+// The baseline returns its database result through the same render point as
+// BridgeScope's SQL tools, so the model reads the same bytes from both.
+func TestExecuteSQLWireForm(t *testing.T) {
+	client, _ := baselineClient(t, true)
+	res, err := client.CallTool(context.Background(), "execute_sql", map[string]any{"sql": "SELECT id, v FROM t ORDER BY id"})
+	if err != nil || res.IsErr {
+		t.Fatalf("select failed: %v %s", err, res.Text)
+	}
+	if res.Text != "id | v\n1 | a\n2 | b\n(2 rows)" || string(res.Data) != `{"columns":["id","v"],"rows":[[1,"a"],[2,"b"]]}` {
+		t.Fatalf("unexpected wire result: text %q data %s", res.Text, res.Data)
+	}
+}
