@@ -1,7 +1,7 @@
 GO ?= go
 SQLVET := $(CURDIR)/bin/sqlvet
 
-.PHONY: all build test race lint vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench benchmark-check clean
+.PHONY: all build test race lint vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench benchmark-check loc clean
 
 all: build lint test
 
@@ -58,6 +58,13 @@ bench:
 # Run this with every such change.
 benchmark-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# The three non-test line counts ROADMAP aim 2 tracks (plain wc -l, comments
+# and blank lines included).
+loc:
+	@for d in internal/sqldb cmd/benchrunner internal/core; do \
+		printf '%-18s %6d\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done
 
 clean:
 	rm -rf bin sqlvet.sarif

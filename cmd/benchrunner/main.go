@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig5a|fig5b|fig5c|fig6|table1|table2|ideal|ablations|engine|parallel|faults|stats] [-seed N] [-sample N]
+//	benchrunner [-exp all|fig5a|fig5b|fig5c|fig6|table1|table2|ideal|ablations|engine|faults|stats] [-seed N] [-sample N]
 //
 // -sample runs every Nth task for a faster pass; the defaults reproduce the
 // full benchmark.
@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig5a, fig5b, fig5c, fig6, table1, table2, ideal, ablations, engine, parallel, faults, stats")
+	exp := flag.String("exp", "all", "experiment to run: all, fig5a, fig5b, fig5c, fig6, table1, table2, ideal, ablations, engine, faults, stats")
 	seed := flag.Int64("seed", 42, "benchmark and behaviour seed")
 	sample := flag.Int("sample", 1, "run every Nth task (1 = all)")
 	rows := flag.Int("housing-rows", 0, "override NL2ML full-table size (0 = 20000)")
@@ -54,7 +54,6 @@ func main() {
 	run("ideal", printIdeal)
 	run("ablations", printAblations)
 	run("engine", func(experiments.Config) error { return printEngine() })
-	run("parallel", func(experiments.Config) error { return printParallel() })
 	run("faults", func(c experiments.Config) error { return printFaults(c.Seed) })
 	run("stats", func(experiments.Config) error { return printStats() })
 }

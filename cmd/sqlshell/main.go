@@ -221,13 +221,6 @@ func metaCommand(engine *sqldb.Engine, session **sqldb.Session, line string) boo
 		if h := engine.Health(); h.LastCheckpointErr != "" {
 			fmt.Printf("last checkpoint error: %s\n", h.LastCheckpointErr)
 		}
-	case `\parallel`:
-		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			fmt.Println("usage: \\parallel on|off")
-			return false
-		}
-		(*session).SetParallel(fields[1] == "on")
-		fmt.Printf("parallel batched execution %s for this session\n", fields[1])
 	default:
 		fmt.Printf("unknown command %s\n", fields[0])
 	}

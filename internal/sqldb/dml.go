@@ -364,7 +364,7 @@ func (s *Session) execUpdate(st *UpdateStmt, wp *WritePlan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	envCols := tableEnvCols(t)
+	env := &Env{cols: tableEnvCols(t, ""), sess: s}
 	for _, e := range matches {
 		// First-committer-wins: a concurrent version newer than our
 		// snapshot (committed or in flight) aborts the statement retryably
@@ -376,7 +376,7 @@ func (s *Session) execUpdate(st *UpdateStmt, wp *WritePlan) (*Result, error) {
 		// snapshot matched (or our own earlier write), so SET expressions
 		// evaluate against it.
 		oldVals := e.v.vals
-		env := &Env{cols: envCols, vals: oldVals, sess: s}
+		env.vals = oldVals
 		newVals := append([]Value{}, oldVals...)
 		for _, a := range st.Set {
 			v, err := a.Expr.Eval(env)
@@ -451,9 +451,14 @@ func (s *Session) execDelete(st *DeleteStmt, wp *WritePlan) (*Result, error) {
 	return &Result{Affected: len(matches), Message: fmt.Sprintf("DELETE %d", len(matches))}, nil
 }
 
-func tableEnvCols(t *Table) []envCol {
+// tableEnvCols is the column layout of a scan of t under alias (the table's
+// own name when alias is empty).
+func tableEnvCols(t *Table, alias string) []envCol {
 	out := make([]envCol, len(t.Columns))
-	lo := strings.ToLower(t.Name)
+	lo := strings.ToLower(alias)
+	if lo == "" {
+		lo = strings.ToLower(t.Name)
+	}
 	for i, c := range t.Columns {
 		out[i] = envCol{table: lo, name: strings.ToLower(c.Name)}
 	}

@@ -13,11 +13,11 @@ import (
 // valid against the catalog version skips the lexer, parser, and planner
 // entirely (the engine's prepared-statement layer, see plancache.go).
 func (s *Session) Exec(sql string) (*Result, error) {
-	// A forced-seq-scan or parallelism-off session neither serves nor
-	// produces cached plans: cache entries are shared engine-wide, and an
-	// optimized entry would defeat the forcing just as a forced entry would
-	// pessimize everyone else.
-	if !s.forceSeqScan && !s.noParallel {
+	// A forced-seq-scan session neither serves nor produces cached plans:
+	// cache entries are shared engine-wide, and an optimized entry would
+	// defeat the forcing just as a forced entry would pessimize everyone
+	// else.
+	if !s.forceSeqScan {
 		if ent, ok := s.engine.plans.lookup(s.user, sql); ok {
 			if res, done, err := s.execCached(ent, sql); done {
 				return res, err
@@ -303,7 +303,7 @@ func (s *Session) execCachedLocked(ent *cachedStmt, sql string) (res *Result, do
 // plan. INSERT caches as parsed-only (a hit still skips lexer and parser).
 // Everything else (DDL, grants, EXPLAIN) returns nil and is never cached.
 func (s *Session) prepare(stmt Stmt) *cachedStmt {
-	if s.forceSeqScan || s.noParallel {
+	if s.forceSeqScan {
 		return nil
 	}
 	ent := &cachedStmt{
@@ -472,43 +472,77 @@ func mainTable(stmt Stmt) string {
 	return ""
 }
 
-// rowSet is an intermediate relation: qualified column names plus rows.
+// rowSet is an intermediate relation: a column layout plus rows.
 type rowSet struct {
-	cols []string
+	cols []envCol
 	rows [][]Value
 }
 
-func (s *Session) scanTable(name, alias string) (*rowSet, error) {
+// passes evaluates a predicate against the row env points at: NULL and false
+// reject, a nil predicate accepts.
+func passes(cond Expr, env *Env) (bool, error) {
+	if cond == nil {
+		return true, nil
+	}
+	v, err := cond.Eval(env)
+	if err != nil {
+		return false, err
+	}
+	return !v.IsNull() && v.Truthy(), nil
+}
+
+// scanTable is the fused table scan: morsels of the heap are
+// visibility-checked against the statement snapshot and, when cond is
+// non-nil, filtered in the same pass, so rejected rows never materialize.
+// Every visible row counts in scanRowsVisited, filtered out or not.
+func (s *Session) scanTable(name, alias string, cond Expr, outer *Env) (*rowSet, error) {
 	t, ok := s.engine.Table(name)
 	if !ok {
 		// Views expand to their stored query's result, aliased under the
 		// view's name (owner-style privileges: the outer statement needed
 		// SELECT on the view itself, not on its underlying tables).
 		if v, isView := s.engine.ViewByName(name); isView {
-			return s.scanView(v, alias)
+			rs, err := s.scanView(v, alias)
+			if err != nil {
+				return nil, err
+			}
+			return s.filterRows(cond, rs, outer)
 		}
 		return nil, &NotFoundError{Kind: "table", Name: name}
 	}
-	q := strings.ToLower(alias)
-	if q == "" {
-		q = strings.ToLower(name)
-	}
-	// Preallocate to the table's estimated live size: a seq scan emits
-	// about RowCount rows, so growth reallocations are pure waste on large
-	// tables.
-	rs := &rowSet{
-		cols: make([]string, 0, len(t.Columns)),
-		rows: make([][]Value, 0, t.RowCount()),
-	}
-	for _, c := range t.Columns {
-		rs.cols = append(rs.cols, q+"."+strings.ToLower(c.Name))
-	}
-	_ = t.visibleRows(s.curView, func(_ *rowEntry, rv *rowVersion) error {
-		rs.rows = append(rs.rows, rv.vals)
+	cols := tableEnvCols(t, alias)
+	bound, safe := bindExpr(cond, cols)
+	//sqlvet:ignore mvccvisibility -- morsel fan-out snapshots the heap slice under the engine read lock and every row still goes through visible() below before it is emitted
+	rows := t.rows
+	sn := s.curView
+	workers, slots := s.fanOut(len(rows), safe)
+	parts := make([][][]Value, chunkCount(len(rows), morselSize))
+	err := s.morsels(len(rows), workers, slots, cols, outer, func(env *Env, m, start, end int) error {
+		buf := make([][]Value, 0, end-start)
+		var visited int64
+		defer func() { s.engine.scanRowsVisited.Add(visited) }()
+		for _, entry := range rows[start:end] {
+			v := entry.visible(sn)
+			if v == nil {
+				continue
+			}
+			visited++
+			env.vals = v.vals
+			keep, err := passes(bound, env)
+			if err != nil {
+				return err
+			}
+			if keep {
+				buf = append(buf, v.vals)
+			}
+		}
+		parts[m] = buf
 		return nil
 	})
-	s.engine.scanRowsVisited.Add(int64(len(rs.rows)))
-	return rs, nil
+	if err != nil {
+		return nil, err
+	}
+	return &rowSet{cols: cols, rows: concatParts(parts)}, nil
 }
 
 // scanView materializes a view into a rowSet. The stored AST is shared
@@ -523,12 +557,42 @@ func (s *Session) scanView(v *View, alias string) (*rowSet, error) {
 	if qual == "" {
 		qual = strings.ToLower(v.Name)
 	}
-	rs := &rowSet{}
-	for _, c := range res.Columns {
-		rs.cols = append(rs.cols, qual+"."+strings.ToLower(c))
+	rs := &rowSet{cols: make([]envCol, len(res.Columns)), rows: res.Rows}
+	for i, c := range res.Columns {
+		rs.cols[i] = envCol{table: qual, name: strings.ToLower(c)}
 	}
-	rs.rows = res.Rows
 	return rs, nil
+}
+
+// filterRows keeps the rows of src that satisfy cond: the residual predicate
+// above the source tree, and the filter above any source that is not a plain
+// table scan. A nil predicate passes src through unchanged.
+func (s *Session) filterRows(cond Expr, src *rowSet, outer *Env) (*rowSet, error) {
+	if cond == nil {
+		return src, nil
+	}
+	bound, safe := bindExpr(cond, src.cols)
+	workers, slots := s.fanOut(len(src.rows), safe)
+	parts := make([][][]Value, chunkCount(len(src.rows), morselSize))
+	err := s.morsels(len(src.rows), workers, slots, src.cols, outer, func(env *Env, m, start, end int) error {
+		var buf [][]Value
+		for _, vals := range src.rows[start:end] {
+			env.vals = vals
+			keep, err := passes(bound, env)
+			if err != nil {
+				return err
+			}
+			if keep {
+				buf = append(buf, vals)
+			}
+		}
+		parts[m] = buf
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &rowSet{cols: src.cols, rows: concatParts(parts)}, nil
 }
 
 // execSelect runs a SELECT and returns its result. outer provides the
@@ -548,222 +612,155 @@ func (s *Session) execSelect(st *SelectStmt, outer *Env) (*Result, error) {
 func (s *Session) runSelectPlan(plan *SelectPlan, outer *Env) (*Result, error) {
 	st := plan.Stmt
 
-	// FROM-less SELECT evaluates once against the outer env.
+	// FROM-less SELECT: the select list evaluates once, against the outer env.
 	if plan.Source == nil {
-		env := &Env{outer: outer, sess: s}
-		cols, row, err := projectRow(st.Items, env, nil)
+		p, err := s.projectRows(st, false, &rowSet{rows: [][]Value{nil}}, nil, false, outer)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Columns: cols, Rows: [][]Value{row}}, nil
+		return &Result{Columns: p.cols, Rows: p.rows}, nil
 	}
 
 	src, err := s.runSource(plan.Source, outer)
 	if err != nil {
 		return nil, err
 	}
-
 	// Residual predicate: conjuncts the planner could not push into the
 	// source tree (multi-source, correlated, or subquery conditions).
-	filtered, err := s.applyFilter(plan.Residual, src, outer)
+	src, err = s.filterRows(plan.Residual, src, outer)
 	if err != nil {
 		return nil, err
 	}
 
-	aggregated := len(st.GroupBy) > 0 || selectHasAggregate(st)
-	var outCols []string
-	var outRows [][]Value
-	var orderEnvs []*Env
-	// Row envs are only kept for the sort stage; an ordered scan that
-	// already emits in ORDER BY order (SortPushed) doesn't need them.
-	needEnvs := len(st.OrderBy) > 0 && !plan.SortPushed
-
-	if aggregated {
-		groups, err := s.groupRows(st, filtered, outer)
-		if err != nil {
+	grouped := len(st.GroupBy) > 0 || selectHasAggregate(st)
+	var groups []*groupResult
+	if grouped {
+		if groups, err = s.groupRows(st, src, outer); err != nil {
 			return nil, err
 		}
-		for _, g := range groups {
-			env := &Env{cols: toEnvCols(filtered.cols), vals: g.firstRow, agg: g.agg, outer: outer, sess: s}
-			if st.Having != nil {
-				hv, err := st.Having.Eval(env)
-				if err != nil {
-					return nil, err
-				}
-				if hv.IsNull() || !hv.Truthy() {
-					continue
-				}
-			}
-			cols, row, err := projectRow(st.Items, env, filtered.cols)
-			if err != nil {
-				return nil, err
-			}
-			outCols = row2cols(outCols, cols)
-			outRows = append(outRows, row)
-			if needEnvs {
-				orderEnvs = append(orderEnvs, env)
-			}
-		}
-		if len(outCols) == 0 {
-			cols, err := projectColsOnly(st.Items, filtered.cols)
-			if err != nil {
-				return nil, err
-			}
-			outCols = cols
-		}
-	} else {
-		projected := false
-		// The sort stage needs per-row envs, which the batched projection
-		// does not keep — ORDER BY (unless pushed) stays row-at-a-time.
-		if !needEnvs {
-			cols, rows, handled, err := s.parProject(st.Items, filtered, outer)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				outCols, outRows = cols, rows
-				projected = true
-			}
-		}
-		if !projected {
-			outRows = make([][]Value, 0, len(filtered.rows))
-			envCols := toEnvCols(filtered.cols)
-			for _, vals := range filtered.rows {
-				env := &Env{cols: envCols, vals: vals, outer: outer, sess: s}
-				cols, row, err := projectRow(st.Items, env, filtered.cols)
-				if err != nil {
-					return nil, err
-				}
-				outCols = row2cols(outCols, cols)
-				outRows = append(outRows, row)
-				if needEnvs {
-					orderEnvs = append(orderEnvs, env)
-				}
-			}
-		}
-		if len(outCols) == 0 {
-			cols, err := projectColsOnly(st.Items, filtered.cols)
-			if err != nil {
-				return nil, err
-			}
-			outCols = cols
-		}
 	}
-
+	// SortPushed plans emit rows in ORDER BY order straight from the ordered
+	// index scan; the sort stage is skipped exactly as EXPLAIN shows (no
+	// Sort node in the tree).
+	sorted := len(st.OrderBy) > 0 && !plan.SortPushed
+	p, err := s.projectRows(st, sorted, src, groups, grouped, outer)
+	if err != nil {
+		return nil, err
+	}
 	if st.Distinct {
-		outRows, orderEnvs = s.distinctRows(outRows, orderEnvs)
+		s.distinctRows(p)
 	}
-
-	// SortPushed plans emit rows in ORDER BY order straight from the
-	// ordered index scan; the sort stage is skipped exactly as EXPLAIN
-	// shows (no Sort node in the tree).
-	if len(st.OrderBy) > 0 && !plan.SortPushed {
-		if err := orderRows(st.OrderBy, outCols, outRows, orderEnvs); err != nil {
-			return nil, err
-		}
+	if sorted {
+		p.sort()
 	}
-
-	outRows, err = s.applyLimitOffset(st, outRows)
+	rows, err := s.applyLimitOffset(st, p.rows)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: outCols, Rows: outRows}, nil
+	return &Result{Columns: p.cols, Rows: rows}, nil
 }
 
-func row2cols(existing, cols []string) []string {
-	if existing == nil {
-		return cols
-	}
-	return existing
-}
-
-func toEnvCols(qualified []string) []envCol {
-	out := make([]envCol, len(qualified))
-	for i, q := range qualified {
-		tbl, name := "", q
-		if j := strings.IndexByte(q, '.'); j >= 0 {
-			tbl, name = q[:j], q[j+1:]
-		}
-		out[i] = envCol{table: tbl, name: name}
-	}
-	return out
-}
-
-func (s *Session) joinSets(left, right *rowSet, ref TableRef, outer *Env) (*rowSet, error) {
-	out := &rowSet{cols: append(append([]string{}, left.cols...), right.cols...)}
-	envCols := toEnvCols(out.cols)
-
-	// Hash-join fast path for INNER JOIN on a simple column equality. The
-	// build side preallocates both the bucket map and a shared index arena
-	// (one int per build row), so building allocates O(1) slices instead of
-	// one per distinct key.
-	if ref.JoinKind == JoinInner && ref.On != nil {
-		if li, ri, ok := equiJoinCols(ref.On, left.cols, right.cols); ok {
-			if workers, slots, pok := s.parallelEligible(len(left.rows)+len(right.rows), outer); pok {
-				return parHashJoin(out, left, right, li, ri, workers, slots), nil
-			}
-			ht := make(map[string][]int, len(right.rows))
-			arena := make([]int, 0, len(right.rows))
-			for idx, rrow := range right.rows {
-				k := rrow[ri].Key()
-				if b, hit := ht[k]; hit {
-					ht[k] = append(b, idx)
-				} else {
-					arena = append(arena, idx)
-					ht[k] = arena[len(arena)-1 : len(arena) : len(arena)]
-				}
-			}
-			out.rows = make([][]Value, 0, len(left.rows))
-			for _, lrow := range left.rows {
-				lv := lrow[li]
-				if lv.IsNull() {
-					continue
-				}
-				for _, idx := range ht[lv.Key()] {
-					combined := make([]Value, 0, len(lrow)+len(right.rows[idx]))
-					combined = append(combined, lrow...)
-					combined = append(combined, right.rows[idx]...)
-					out.rows = append(out.rows, combined)
-				}
-			}
+// joinSets joins two relations: a hash join for an inner join on one column
+// equality, a nested loop for everything else.
+func (s *Session) joinSets(left, right *rowSet, kind JoinKind, on Expr, outer *Env) (*rowSet, error) {
+	out := &rowSet{cols: append(append([]envCol{}, left.cols...), right.cols...)}
+	if kind == JoinInner && on != nil {
+		if li, ri, ok := equiJoinCols(on, left.cols, right.cols); ok {
+			out.rows = s.hashJoin(left.rows, right.rows, li, ri)
 			return out, nil
 		}
 	}
 
+	bound, _ := bindExpr(on, out.cols)
+	env := &Env{cols: out.cols, outer: outer, sess: s}
 	for _, lrow := range left.rows {
 		matched := false
 		for _, rrow := range right.rows {
 			combined := make([]Value, 0, len(lrow)+len(rrow))
 			combined = append(combined, lrow...)
 			combined = append(combined, rrow...)
-			if ref.On != nil {
-				env := &Env{cols: envCols, vals: combined, outer: outer, sess: s}
-				ov, err := ref.On.Eval(env)
-				if err != nil {
-					return nil, err
-				}
-				if ov.IsNull() || !ov.Truthy() {
-					continue
-				}
+			env.vals = combined
+			keep, err := passes(bound, env)
+			if err != nil {
+				return nil, err
+			}
+			if !keep {
+				continue
 			}
 			matched = true
 			out.rows = append(out.rows, combined)
 		}
-		if ref.JoinKind == JoinLeft && !matched {
-			combined := make([]Value, 0, len(lrow)+len(right.cols))
-			combined = append(combined, lrow...)
-			for range right.cols {
-				combined = append(combined, Null())
-			}
+		if kind == JoinLeft && !matched {
+			// The zero Value is NULL: the right side stays null-extended.
+			combined := make([]Value, len(lrow)+len(right.cols))
+			copy(combined, lrow)
 			out.rows = append(out.rows, combined)
 		}
 	}
 	return out, nil
 }
 
+// hashJoin is the equi-join on left[li] = right[ri]. Build-side keys are
+// computed in morsels and the table is built sequentially from them
+// (preserving bucket order) over a shared index arena, so building allocates
+// O(1) slices instead of one per distinct key; the probe side is scanned in
+// morsels whose output buffers are concatenated in morsel order.
+func (s *Session) hashJoin(left, right [][]Value, li, ri int) [][]Value {
+	workers, slots := s.fanOut(len(left)+len(right), true)
+	rkeys := make([]string, len(right))
+	// Key extraction and the probe below evaluate no expression: they cannot fail.
+	_ = runChunked(slots, workers, len(right), morselSize, func(_, start, end int) error {
+		for i := start; i < end; i++ {
+			rkeys[i] = right[i][ri].Key()
+		}
+		return nil
+	})
+	ht := make(map[string][]int, len(right))
+	arena := make([]int, 0, len(right))
+	for idx, k := range rkeys {
+		if b, hit := ht[k]; hit {
+			ht[k] = append(b, idx)
+		} else {
+			arena = append(arena, idx)
+			ht[k] = arena[len(arena)-1 : len(arena) : len(arena)]
+		}
+	}
+	parts := make([][][]Value, chunkCount(len(left), morselSize))
+	_ = runChunked(slots, workers, len(left), morselSize, func(m, start, end int) error {
+		var buf [][]Value
+		for _, lrow := range left[start:end] {
+			if lrow[li].IsNull() {
+				continue
+			}
+			for _, idx := range ht[lrow[li].Key()] {
+				rrow := right[idx]
+				combined := make([]Value, 0, len(lrow)+len(rrow))
+				combined = append(combined, lrow...)
+				combined = append(combined, rrow...)
+				buf = append(buf, combined)
+			}
+		}
+		parts[m] = buf
+		return nil
+	})
+	return concatParts(parts)
+}
+
+// uniqueCol resolves c in cols for a plan decision (hash join, index or
+// range scan, predicate pushdown): the column counts only when exactly one
+// matches, qualified or not. See resolveCol for how this differs from
+// Env.Lookup.
+func uniqueCol(c *ColumnRef, cols []envCol) int {
+	idx, matches := resolveCol(cols, strings.ToLower(c.Table), strings.ToLower(c.Name))
+	if matches != 1 {
+		return -1
+	}
+	return idx
+}
+
 // equiJoinCols recognizes `a.x = b.y` ON clauses and resolves the two sides
 // to left/right column positions.
-func equiJoinCols(on Expr, leftCols, rightCols []string) (int, int, bool) {
+func equiJoinCols(on Expr, leftCols, rightCols []envCol) (int, int, bool) {
 	be, ok := on.(*BinaryExpr)
 	if !ok || be.Op != "=" {
 		return 0, 0, false
@@ -773,67 +770,23 @@ func equiJoinCols(on Expr, leftCols, rightCols []string) (int, int, bool) {
 	if !ok1 || !ok2 {
 		return 0, 0, false
 	}
-	li := resolveIn(lc, leftCols)
-	ri := resolveIn(rc, rightCols)
+	li := uniqueCol(lc, leftCols)
+	ri := uniqueCol(rc, rightCols)
 	if li >= 0 && ri >= 0 {
 		return li, ri, true
 	}
 	// The ON clause may name them in the other order.
-	li = resolveIn(rc, leftCols)
-	ri = resolveIn(lc, rightCols)
+	li = uniqueCol(rc, leftCols)
+	ri = uniqueCol(lc, rightCols)
 	if li >= 0 && ri >= 0 {
 		return li, ri, true
 	}
 	return 0, 0, false
 }
 
-func resolveIn(c *ColumnRef, cols []string) int {
-	want := strings.ToLower(c.Name)
-	qual := strings.ToLower(c.Table)
-	hit := -1
-	for i, q := range cols {
-		tbl, name := "", q
-		if j := strings.IndexByte(q, '.'); j >= 0 {
-			tbl, name = q[:j], q[j+1:]
-		}
-		if name != want {
-			continue
-		}
-		if qual != "" && tbl != qual {
-			continue
-		}
-		if hit >= 0 {
-			return -1 // ambiguous
-		}
-		hit = i
-	}
-	return hit
-}
-
-// applyFilter filters a rowSet by a predicate; a nil predicate passes rows
-// through unchanged.
-func (s *Session) applyFilter(cond Expr, src *rowSet, outer *Env) (*rowSet, error) {
-	if cond == nil {
-		return src, nil
-	}
-	envCols := toEnvCols(src.cols)
-	out := &rowSet{cols: src.cols}
-	for _, vals := range src.rows {
-		env := &Env{cols: envCols, vals: vals, outer: outer, sess: s}
-		v, err := cond.Eval(env)
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && v.Truthy() {
-			out.rows = append(out.rows, vals)
-		}
-	}
-	return out, nil
-}
-
 // indexableEq finds a top-level `col = literal` conjunct and resolves the
 // column position.
-func indexableEq(where Expr, cols []string) (int, Value, bool) {
+func indexableEq(where Expr, cols []envCol) (int, Value, bool) {
 	switch e := where.(type) {
 	case *BinaryExpr:
 		switch e.Op {
@@ -845,14 +798,14 @@ func indexableEq(where Expr, cols []string) (int, Value, bool) {
 		case "=":
 			if cr, ok := e.Left.(*ColumnRef); ok {
 				if lit, ok2 := e.Right.(*Literal); ok2 {
-					if i := resolveIn(cr, cols); i >= 0 {
+					if i := uniqueCol(cr, cols); i >= 0 {
 						return i, lit.Val, true
 					}
 				}
 			}
 			if cr, ok := e.Right.(*ColumnRef); ok {
 				if lit, ok2 := e.Left.(*Literal); ok2 {
-					if i := resolveIn(cr, cols); i >= 0 {
+					if i := uniqueCol(cr, cols); i >= 0 {
 						return i, lit.Val, true
 					}
 				}
@@ -911,63 +864,88 @@ func collectAggNodes(st *SelectStmt) []*FuncExpr {
 }
 
 // groupRows partitions rows by the GROUP BY keys and computes every
-// aggregate node once per group.
+// aggregate node once per group. Keys are computed over the input in
+// morsels, the hash build runs sequentially over them (preserving
+// first-appearance group order and within-group row order, which float
+// SUM/AVG depend on), and aggregates are then computed group by group.
 func (s *Session) groupRows(st *SelectStmt, src *rowSet, outer *Env) ([]*groupResult, error) {
-	if groups, handled, err := s.parGroupRows(st, src, outer); handled {
-		return groups, err
-	}
-	envCols := toEnvCols(src.cols)
 	aggNodes := collectAggNodes(st)
+	b := binder{cols: src.cols}
+	groupExprs := b.bindAll(st.GroupBy)
+	aggArgs := make([]Expr, len(aggNodes))
+	for i, f := range aggNodes {
+		if !f.Star && len(f.Args) == 1 {
+			aggArgs[i] = b.bind(f.Args[0])
+		}
+	}
+	workers, slots := s.fanOut(len(src.rows), !b.serial)
 
-	keyed := map[string]*groupResult{}
-	var order []string
-	for _, vals := range src.rows {
-		env := &Env{cols: envCols, vals: vals, outer: outer, sess: s}
-		var kb strings.Builder
-		for _, ge := range st.GroupBy {
-			gv, err := ge.Eval(env)
-			if err != nil {
-				return nil, err
+	var order []*groupResult
+	if len(groupExprs) == 0 {
+		// No GROUP BY: one group over the whole input — also over zero rows,
+		// which is how SELECT COUNT(*) FROM empty answers 0. The zero Value is
+		// NULL, so non-aggregated items of that group read as NULL.
+		g := &groupResult{firstRow: make([]Value, len(src.cols)), rows: src.rows}
+		if len(src.rows) > 0 {
+			g.firstRow = src.rows[0]
+		}
+		order = []*groupResult{g}
+	} else {
+		keys := make([]string, len(src.rows))
+		err := s.morsels(len(src.rows), workers, slots, src.cols, outer, func(env *Env, _, start, end int) error {
+			var buf []byte
+			for i := start; i < end; i++ {
+				buf = buf[:0]
+				env.vals = src.rows[i]
+				for _, ge := range groupExprs {
+					gv, err := ge.Eval(env)
+					if err != nil {
+						return err
+					}
+					buf = appendKeySegment(buf, gv)
+				}
+				keys[i] = string(buf)
 			}
-			writeKeySegment(&kb, gv)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		k := kb.String()
-		g, ok := keyed[k]
-		if !ok {
-			g = &groupResult{firstRow: vals}
-			keyed[k] = g
-			order = append(order, k)
+		keyed := map[string]*groupResult{}
+		for i, vals := range src.rows {
+			g, ok := keyed[keys[i]]
+			if !ok {
+				g = &groupResult{firstRow: vals}
+				keyed[keys[i]] = g
+				order = append(order, g)
+			}
+			g.rows = append(g.rows, vals)
 		}
-		g.rows = append(g.rows, vals)
-	}
-	// A query like SELECT COUNT(*) FROM empty (no GROUP BY) yields one
-	// group over zero rows.
-	if len(order) == 0 && len(st.GroupBy) == 0 {
-		g := &groupResult{firstRow: make([]Value, len(src.cols))}
-		for i := range g.firstRow {
-			g.firstRow[i] = Null()
-		}
-		keyed[""] = g
-		order = append(order, "")
 	}
 
-	var out []*groupResult
-	for _, k := range order {
-		g := keyed[k]
-		g.agg = map[Expr]Value{}
-		for _, f := range aggNodes {
-			v, err := s.computeAggregate(f, g.rows, envCols, outer)
+	err := runChunked(slots, workers, len(order), 1, func(gi, _, _ int) error {
+		g := order[gi]
+		g.agg = make(map[Expr]Value, len(aggNodes))
+		env := &Env{cols: src.cols, outer: outer, sess: s}
+		for i, f := range aggNodes {
+			v, err := aggregateGroup(f, aggArgs[i], env, g.rows)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			g.agg[f] = v
 		}
-		out = append(out, g)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return order, nil
 }
 
-func (s *Session) computeAggregate(f *FuncExpr, rows [][]Value, envCols []envCol, outer *Env) (Value, error) {
+// aggregateGroup computes one aggregate over one group's rows. arg is the
+// bound argument expression and env is re-pointed at each row. Values are
+// collected in within-group row order.
+func aggregateGroup(f *FuncExpr, arg Expr, env *Env, rows [][]Value) (Value, error) {
 	if f.Star {
 		if f.Name != "COUNT" {
 			return Value{}, fmt.Errorf("%s(*) is not supported", f.Name)
@@ -980,8 +958,8 @@ func (s *Session) computeAggregate(f *FuncExpr, rows [][]Value, envCols []envCol
 	var vals []Value
 	distinct := map[string]bool{}
 	for _, row := range rows {
-		env := &Env{cols: envCols, vals: row, outer: outer, sess: s}
-		v, err := f.Args[0].Eval(env)
+		env.vals = row
+		v, err := arg.Eval(env)
 		if err != nil {
 			return Value{}, err
 		}
@@ -1001,9 +979,7 @@ func (s *Session) computeAggregate(f *FuncExpr, rows [][]Value, envCols []envCol
 }
 
 // finishAggregate folds the collected (non-NULL, DISTINCT-deduped) argument
-// values according to the aggregate's semantics. Shared by the row-at-a-time
-// and batched group paths so numeric behavior (e.g. float summation order)
-// is decided in exactly one place.
+// values according to the aggregate's semantics.
 func finishAggregate(f *FuncExpr, vals []Value) (Value, error) {
 	switch f.Name {
 	case "COUNT":
@@ -1050,49 +1026,181 @@ func finishAggregate(f *FuncExpr, vals []Value) (Value, error) {
 	return Value{}, fmt.Errorf("unknown aggregate %s", f.Name)
 }
 
-// projectRow evaluates the select list against one row environment.
-func projectRow(items []SelectItem, env *Env, srcCols []string) ([]string, []Value, error) {
-	var cols []string
-	var row []Value
-	for _, it := range items {
-		if it.Star {
-			for i, q := range srcCols {
-				tbl, name := splitQualified(q)
-				if it.Table != "" && !strings.EqualFold(tbl, it.Table) {
-					continue
-				}
-				cols = append(cols, name)
-				row = append(row, env.vals[i])
-			}
-			continue
-		}
-		v, err := it.Expr.Eval(env)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols = append(cols, itemName(it))
-		row = append(row, v)
-	}
-	return cols, row, nil
+// projItem is one bound select-list entry: the source positions a star
+// copies, or an expression.
+type projItem struct {
+	star []int
+	expr Expr
 }
 
-// projectColsOnly computes output column names for an empty result.
-func projectColsOnly(items []SelectItem, srcCols []string) ([]string, error) {
-	var cols []string
-	for _, it := range items {
-		if it.Star {
-			for _, q := range srcCols {
-				tbl, name := splitQualified(q)
-				if it.Table != "" && !strings.EqualFold(tbl, it.Table) {
-					continue
-				}
-				cols = append(cols, name)
-			}
+// sortKey is one bound ORDER BY key. An ordinal, or a bare name matching an
+// output column (aliases shadow source columns), sorts by that output
+// position. Anything else is an expression over the source row: it is
+// evaluated during projection, while the Env still points at the row, and
+// kept in that row's extra slot.
+type sortKey struct {
+	out  int // >= 0: output position
+	expr Expr
+	slot int
+	desc bool
+}
+
+// projection is the output of the select list: the rows, and for an unpushed
+// ORDER BY the bound keys with the per-row values of the expression keys.
+type projection struct {
+	cols  []string
+	rows  [][]Value
+	keys  []sortKey
+	extra [][]Value
+}
+
+// selectList binds the select list, expanding stars, and names the output
+// columns.
+func (b *binder) selectList(items []SelectItem) (plan []projItem, cols []string) {
+	plan = make([]projItem, len(items))
+	for i, it := range items {
+		if !it.Star {
+			plan[i].expr = b.bind(it.Expr)
+			cols = append(cols, itemName(it))
 			continue
 		}
-		cols = append(cols, itemName(it))
+		for j, c := range b.cols {
+			if it.Table == "" || strings.EqualFold(c.table, it.Table) {
+				plan[i].star = append(plan[i].star, j)
+				cols = append(cols, c.name)
+			}
+		}
 	}
-	return cols, nil
+	return plan, cols
+}
+
+// orderKeys binds the ORDER BY keys against the output columns. Ordinals are
+// checked here, once, against the select-list width — not per row, where an
+// empty result would let an invalid position through. nextra is the number
+// of keys that need a per-row slot.
+func (b *binder) orderKeys(keys []OrderKey, outCols []string) (out []sortKey, nextra int, err error) {
+	out = make([]sortKey, len(keys))
+	for i, k := range keys {
+		sk := sortKey{out: -1, desc: k.Desc}
+		if lit, ok := k.Expr.(*Literal); ok && lit.Val.Kind == KindInt {
+			if lit.Val.I < 1 || lit.Val.I > int64(len(outCols)) {
+				return nil, 0, fmt.Errorf("ORDER BY position %d is out of range", lit.Val.I)
+			}
+			sk.out = int(lit.Val.I) - 1
+		} else if cr, ok := k.Expr.(*ColumnRef); ok && cr.Table == "" {
+			want := strings.ToLower(cr.Name)
+			for j, c := range outCols {
+				if strings.ToLower(c) == want {
+					sk.out = j
+					break
+				}
+			}
+		}
+		if sk.out < 0 {
+			sk.expr, sk.slot = b.bind(k.Expr), nextra
+			nextra++
+		}
+		out[i] = sk
+	}
+	return out, nextra, nil
+}
+
+// projectRows evaluates the select list over src — one output row per input
+// row, or per group when grouped, after HAVING — and, when the sort stage
+// will run, the ORDER BY keys that are not output columns.
+func (s *Session) projectRows(st *SelectStmt, sorted bool, src *rowSet, groups []*groupResult, grouped bool, outer *Env) (*projection, error) {
+	b := binder{cols: src.cols}
+	plan, cols := b.selectList(st.Items)
+	p := &projection{cols: cols}
+	n := len(src.rows)
+	var having Expr
+	if grouped {
+		n = len(groups)
+		having = b.bind(st.Having)
+	}
+	nextra := 0
+	if sorted {
+		var err error
+		if p.keys, nextra, err = b.orderKeys(st.OrderBy, cols); err != nil {
+			return nil, err
+		}
+	}
+	workers, slots := s.fanOut(n, !b.serial)
+	p.rows = make([][]Value, n)
+	if nextra > 0 {
+		p.extra = make([][]Value, n)
+	}
+	err := s.morsels(n, workers, slots, src.cols, outer, func(env *Env, _, start, end int) error {
+		var slab []Value // one allocation holds the morsel's sort-key values
+		if nextra > 0 {
+			slab = make([]Value, (end-start)*nextra)
+		}
+		for i := start; i < end; i++ {
+			if grouped {
+				env.vals, env.agg = groups[i].firstRow, groups[i].agg
+				keep, err := passes(having, env)
+				if err != nil {
+					return err
+				}
+				if !keep {
+					continue
+				}
+			} else {
+				env.vals = src.rows[i]
+			}
+			row := make([]Value, 0, len(cols))
+			for _, it := range plan {
+				if it.expr == nil {
+					for _, j := range it.star {
+						row = append(row, env.vals[j])
+					}
+					continue
+				}
+				v, err := it.expr.Eval(env)
+				if err != nil {
+					return err
+				}
+				row = append(row, v)
+			}
+			p.rows[i] = row
+			if nextra > 0 {
+				p.extra[i], slab = slab[:nextra:nextra], slab[nextra:]
+				for _, k := range p.keys {
+					if k.out >= 0 {
+						continue
+					}
+					v, err := k.expr.Eval(env)
+					if err != nil {
+						return err
+					}
+					p.extra[i][k.slot] = v
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if having != nil {
+		// Groups HAVING rejected left their slot nil; close the gaps.
+		w := 0
+		for i, row := range p.rows {
+			if row == nil {
+				continue
+			}
+			p.rows[w] = row
+			if p.extra != nil {
+				p.extra[w] = p.extra[i]
+			}
+			w++
+		}
+		p.rows = p.rows[:w]
+		if p.extra != nil {
+			p.extra = p.extra[:w]
+		}
+	}
+	return p, nil
 }
 
 func itemName(it SelectItem) string {
@@ -1105,131 +1213,81 @@ func itemName(it SelectItem) string {
 	return it.Expr.String()
 }
 
-func splitQualified(q string) (table, name string) {
-	if j := strings.IndexByte(q, '.'); j >= 0 {
-		return q[:j], q[j+1:]
-	}
-	return "", q
-}
-
-func (s *Session) distinctRows(rows [][]Value, envs []*Env) ([][]Value, []*Env) {
-	// Key computation is pure per-row work; precompute the keys in morsels
-	// when the row count warrants it. The dedup loop itself stays
-	// sequential, preserving first-appearance order.
-	var parKeys []string
-	if workers, slots, ok := s.parallelEligible(len(rows), nil); ok {
-		parKeys = parDistinctKeys(rows, workers, slots)
-	}
-	seen := map[string]bool{}
-	var outRows [][]Value
-	var outEnvs []*Env
-	for i, row := range rows {
-		var k string
-		if parKeys != nil {
-			k = parKeys[i]
-		} else {
-			var kb strings.Builder
-			for _, v := range row {
-				writeKeySegment(&kb, v)
+// distinctRows drops repeated output rows, keeping first appearances in
+// order (each with its sort-key values). Key computation is pure per-row
+// work and runs in morsels; the dedup itself is sequential.
+func (s *Session) distinctRows(p *projection) {
+	keys := make([]string, len(p.rows))
+	workers, slots := s.fanOut(len(p.rows), true)
+	// Building a key evaluates no expression: it cannot fail.
+	_ = runChunked(slots, workers, len(p.rows), morselSize, func(_, start, end int) error {
+		var buf []byte
+		for i := start; i < end; i++ {
+			buf = buf[:0]
+			for _, v := range p.rows[i] {
+				buf = appendKeySegment(buf, v)
 			}
-			k = kb.String()
+			keys[i] = string(buf)
 		}
-		if seen[k] {
+		return nil
+	})
+	seen := map[string]bool{}
+	w := 0
+	for i, row := range p.rows {
+		if seen[keys[i]] {
 			continue
 		}
-		seen[k] = true
-		outRows = append(outRows, row)
-		if envs != nil {
-			outEnvs = append(outEnvs, envs[i])
+		seen[keys[i]] = true
+		p.rows[w] = row
+		if p.extra != nil {
+			p.extra[w] = p.extra[i]
 		}
+		w++
 	}
-	return outRows, outEnvs
+	p.rows = p.rows[:w]
+	if p.extra != nil {
+		p.extra = p.extra[:w]
+	}
 }
 
-// orderRows sorts rows in place by the ORDER BY keys. Keys may reference
-// source columns (via the saved row envs), output aliases, or 1-based
-// ordinals.
-func orderRows(keys []OrderKey, outCols []string, rows [][]Value, envs []*Env) error {
-	type sortKey struct{ vals []Value }
-	sk := make([]sortKey, len(rows))
-	lowerOut := make([]string, len(outCols))
-	for i, c := range outCols {
-		lowerOut[i] = strings.ToLower(c)
-	}
-	for i := range rows {
-		for _, k := range keys {
-			var v Value
-			// Ordinal reference: ORDER BY 2.
-			if lit, ok := k.Expr.(*Literal); ok && lit.Val.Kind == KindInt {
-				idx := int(lit.Val.I) - 1
-				if idx < 0 || idx >= len(rows[i]) {
-					return fmt.Errorf("ORDER BY position %d is out of range", lit.Val.I)
-				}
-				v = rows[i][idx]
-			} else {
-				// Try output alias first, then the source environment.
-				resolved := false
-				if cr, ok := k.Expr.(*ColumnRef); ok && cr.Table == "" {
-					for j, c := range lowerOut {
-						if c == strings.ToLower(cr.Name) {
-							v = rows[i][j]
-							resolved = true
-							break
-						}
-					}
-				}
-				if !resolved {
-					ev, err := k.Expr.Eval(envs[i])
-					if err != nil {
-						// Fall back to alias-only resolution failure.
-						return err
-					}
-					v = ev
-				}
-			}
-			sk[i].vals = append(sk[i].vals, v)
+// sort orders the rows in place by the bound ORDER BY keys; ties keep their
+// input order.
+func (p *projection) sort() {
+	key := func(row int, k sortKey) Value {
+		if k.out >= 0 {
+			return p.rows[row][k.out]
 		}
+		return p.extra[row][k.slot]
 	}
-	idx := make([]int, len(rows))
+	idx := make([]int, len(p.rows))
 	for i := range idx {
 		idx[i] = i
 	}
-	var sortErr error
 	sort.SliceStable(idx, func(a, b int) bool {
-		for ki, k := range keys {
-			va, vb := sk[idx[a]].vals[ki], sk[idx[b]].vals[ki]
-			c, null := compareForOrder(va, vb, k.Desc)
-			if null {
+		for _, k := range p.keys {
+			c, null := compareForOrder(key(idx[a], k), key(idx[b], k))
+			if null || c == 0 {
 				continue
 			}
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
+			if k.desc {
 				return c > 0
 			}
 			return c < 0
 		}
 		return false
 	})
-	// Apply the permutation.
-	sortedRows := make([][]Value, len(rows))
+	sorted := make([][]Value, len(p.rows))
 	for i, j := range idx {
-		sortedRows[i] = rows[j]
+		sorted[i] = p.rows[j]
 	}
-	copy(rows, sortedRows)
-	_ = sortErr
-	return nil
+	p.rows = sorted
 }
 
 // compareForOrder compares with PostgreSQL null ordering: NULL is treated
 // as larger than every value, so NULLs sort last ascending and first
-// descending (the desc parameter is kept for call-site symmetry; the
-// caller's direction flip covers it). The desc branch used to return the
-// inverted sign, which sorted NULLs last in both directions, contradicting
-// both this comment and the ordered-index scan path. Returns null=true when
-// both are NULL.
-func compareForOrder(a, b Value, desc bool) (int, bool) {
+// descending once the caller flips the sign for DESC. Returns null=true when
+// both are NULL (or the values do not compare), which callers treat as a tie.
+func compareForOrder(a, b Value) (int, bool) {
 	switch {
 	case a.IsNull() && b.IsNull():
 		return 0, true

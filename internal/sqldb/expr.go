@@ -52,28 +52,35 @@ func NewEnv(cols []string, vals []Value) *Env {
 	return env
 }
 
+// resolveCol is the engine's one name-to-position rule over a column layout
+// (table and name lower-case, table "" for a bare reference). It returns the
+// first matching position and how many columns match; what a duplicate means
+// is the caller's decision. Env.Lookup and the binder take the first match of
+// a qualified name and reject an ambiguous bare one; the planner (uniqueCol)
+// treats any duplicate as no match, which is what sends a self-join on
+// same-named columns to the nested loop instead of the hash join.
+func resolveCol(cols []envCol, table, name string) (idx, matches int) {
+	idx = -1
+	for i := range cols {
+		if cols[i].name != name || (table != "" && cols[i].table != table) {
+			continue
+		}
+		if matches == 0 {
+			idx = i
+		}
+		matches++
+	}
+	return idx, matches
+}
+
 // Lookup resolves a column reference, returning an error for unknown or
 // ambiguous names.
 func (e *Env) Lookup(table, name string) (Value, error) {
 	table = strings.ToLower(table)
 	name = strings.ToLower(name)
-	idx := -1
-	for i, c := range e.cols {
-		if c.name != name {
-			continue
-		}
-		if table != "" && c.table != table {
-			continue
-		}
-		if idx >= 0 {
-			if table == "" {
-				return Value{}, fmt.Errorf("ambiguous column reference %q", name)
-			}
-			continue
-		}
-		idx = i
-	}
-	if idx < 0 {
+	idx, matches := resolveCol(e.cols, table, name)
+	switch {
+	case matches == 0:
 		if e.outer != nil {
 			return e.outer.Lookup(table, name)
 		}
@@ -81,6 +88,8 @@ func (e *Env) Lookup(table, name string) (Value, error) {
 			return Value{}, fmt.Errorf("unknown column %q", table+"."+name)
 		}
 		return Value{}, fmt.Errorf("unknown column %q", name)
+	case matches > 1 && table == "":
+		return Value{}, fmt.Errorf("ambiguous column reference %q", name)
 	}
 	return e.vals[idx], nil
 }

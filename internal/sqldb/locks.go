@@ -34,10 +34,6 @@ type lockManager struct {
 
 	tables sync.Map // table name -> *sync.Mutex
 
-	// globalOnly routes every writer through the global lock, restoring the
-	// pre-sharding single-writeMu behavior. Benchmarks use it as a baseline.
-	globalOnly atomic.Bool
-
 	tableAcquires  atomic.Int64
 	globalAcquires atomic.Int64
 	curWriters     atomic.Int64
@@ -124,13 +120,6 @@ func (e *Engine) LockStats() LockStats {
 	}
 }
 
-// SetGlobalWriteLock toggles the single-global-lock fallback in which every
-// mutating statement serializes on one lock, as before the per-table lock
-// manager existed. Benchmarks use it to measure the sharding win.
-func (e *Engine) SetGlobalWriteLock(on bool) {
-	e.locks.globalOnly.Store(on)
-}
-
 // lockForWrite acquires the write-side locks for one mutating statement and
 // returns the unlock func. DML locks exactly the tables it may touch; every
 // other statement kind (DDL, grants, transaction control) takes the
@@ -154,11 +143,6 @@ func (e *Engine) lockForWriteNames(stmt Stmt, names []string) func() {
 	start := time.Now()
 	switch stmt.(type) {
 	case *InsertStmt, *UpdateStmt, *DeleteStmt:
-		if lm.globalOnly.Load() {
-			unlock := lm.lockAll()
-			e.metrics.lockWait.Observe(time.Since(start))
-			return unlock
-		}
 		lm.global.RLock() //sqlvet:ignore lockbalance -- shared global held until the returned closure runs
 		if names == nil {
 			names = e.writeLockNames(stmt)

@@ -137,14 +137,12 @@ func TestDisjointTableWritersDoNotSerialize(t *testing.T) {
 	}
 }
 
-// benchDisjointWriters measures point-update throughput with four writers on
-// four distinct tables, either under the per-table lock manager or the
-// single-global-lock fallback.
-func benchDisjointWriters(b *testing.B, globalOnly bool) {
+// BenchmarkDisjointWriters measures point-update throughput with four
+// writers on four distinct tables under the per-table lock manager.
+func BenchmarkDisjointWriters(b *testing.B) {
 	const writers = 4
 	const keys = 8
 	e := NewEngine("writerbench")
-	e.SetGlobalWriteLock(globalOnly)
 	setup := e.NewSession("root")
 	stmts := make([][]string, writers)
 	for w := 0; w < writers; w++ {
@@ -168,27 +166,4 @@ func benchDisjointWriters(b *testing.B, globalOnly bool) {
 			i++
 		}
 	})
-}
-
-func BenchmarkDisjointWritersSharded(b *testing.B) { benchDisjointWriters(b, false) }
-
-func BenchmarkDisjointWritersGlobalLock(b *testing.B) { benchDisjointWriters(b, true) }
-
-// TestGlobalWriteLockFallbackSerializes: with the single-lock fallback on,
-// DML routes through the global lock and the table-lock counters stay flat.
-func TestGlobalWriteLockFallbackSerializes(t *testing.T) {
-	e := NewEngine("globalonly")
-	e.SetGlobalWriteLock(true)
-	s := e.NewSession("root")
-	s.MustExec("CREATE TABLE g (id INT PRIMARY KEY, n INT)")
-	before := e.LockStats()
-	s.MustExec("INSERT INTO g VALUES (1, 0)")
-	s.MustExec("UPDATE g SET n = 1 WHERE id = 1")
-	after := e.LockStats()
-	if after.TableAcquires != before.TableAcquires {
-		t.Fatalf("table locks acquired under global-only mode: %d -> %d", before.TableAcquires, after.TableAcquires)
-	}
-	if after.GlobalAcquires <= before.GlobalAcquires {
-		t.Fatal("global lock should have been acquired for DML in global-only mode")
-	}
 }

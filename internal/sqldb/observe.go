@@ -85,7 +85,7 @@ type engineMetrics struct {
 	// lockWait is the write-lock acquisition wait per mutating statement.
 	lockWait stats.Histogram
 
-	// Parallel scanner activity (see parallelEligible).
+	// Operators at or above the fan-out threshold (see fanOut).
 	parBatches atomic.Int64
 	parMorsels atomic.Int64
 	parWorkers stats.Histogram

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -9,30 +8,30 @@ import (
 	"sync/atomic"
 )
 
-// Morsel-driven parallel execution.
+// Morsel-driven execution.
 //
-// Read-side operators (seq scan + filter, projection, hash-join build and
-// probe, GROUP BY / DISTINCT key builds) partition their input row slice
-// into fixed-size morsels. Morsels are handed out dynamically through an
-// atomic counter to a small set of workers drawn from a bounded per-engine
-// pool; the calling goroutine always participates, so execution makes
-// progress even when the pool is exhausted (and degenerates to the batched
-// single-goroutine path at workers=1). Each morsel writes into its own
-// output buffer; buffers are concatenated in morsel order at the end, which
-// keeps row order — and therefore results — identical to the sequential
-// executor.
+// Every read operator (seq scan + filter, residual filter, hash-join build
+// and probe, GROUP BY keys and per-group aggregates, projection, DISTINCT
+// keys) is one loop over fixed-size morsels of its input, with one Env per
+// morsel re-pointed at each row. Expressions are bound first (see binder):
+// column references that resolve in the operator's own layout become
+// positional loads, and what cannot be bound — an outer reference, a
+// subquery, an aggregate call — stays in place and evaluates by name through
+// the same Env, so correlated statements run the same loop.
 //
-// Inside a worker, expressions are evaluated against a *bound* copy of the
-// tree (see bindExpr) in which every column reference has been resolved to
-// a positional index at bind time. That removes the per-row name lookup and
-// the per-row Env allocation of the row-at-a-time path, which is why the
-// batched path is faster even with a single worker.
+// The only size-dependent decision is how many goroutines share the morsels
+// (see fanOut). With several, morsels are handed out through an atomic
+// counter to workers drawn from a bounded per-engine pool; the calling
+// goroutine always takes part, so an exhausted pool degrades to one worker.
+// Each morsel writes its own output buffer and buffers are concatenated in
+// morsel order, so row order — and therefore every result, float sums
+// included — does not depend on the worker count.
 
 const (
 	// morselSize is the number of rows handed to a worker at a time.
 	morselSize = 1024
-	// defaultParallelThreshold is the minimum input row count before the
-	// planner considers a parallel scan worthwhile.
+	// defaultParallelThreshold is the minimum input row count before an
+	// operator shares its morsels among several workers.
 	defaultParallelThreshold = 2048
 )
 
@@ -47,10 +46,10 @@ type parallelConfig struct {
 	slots     chan struct{}
 }
 
-// SetParallelism configures batched/parallel query execution: workers is
-// the maximum number of goroutines one operator may use (<=1 keeps the
-// batched path but runs it inline), threshold is the minimum row count
-// before the planner parallelizes a scan. Zero values select the defaults
+// SetParallelism configures operator fan-out: workers is the maximum number
+// of goroutines one operator may use, threshold the minimum input row count
+// before it uses more than one. Neither selects code — every operator runs
+// the same morsel loop at any setting. Zero values select the defaults
 // (GOMAXPROCS workers, 2048-row threshold).
 func (e *Engine) SetParallelism(workers, threshold int) {
 	if workers <= 0 {
@@ -86,24 +85,25 @@ func (e *Engine) parallelism() (workers, threshold int, slots chan struct{}) {
 	return p.workers, p.threshold, p.slots
 }
 
-// parallelEligible reports whether this session may run a batched/parallel
-// operator over n input rows. Parallel operators are disabled inside
-// correlated contexts (outer != nil: subqueries run on the statement's
-// goroutine and may reference outer columns) and for sessions that forced
-// them off.
-func (s *Session) parallelEligible(n int, outer *Env) (workers int, slots chan struct{}, ok bool) {
-	if outer != nil || s.forceSeqScan || s.noParallel {
-		return 0, nil, false
+// fanOut is the read executor's one size-dependent decision: how many
+// workers an operator over n input rows may use. Below the threshold it is
+// one. At or above it the operator counts as a batch in the engine's parallel
+// stats and gets the engine's workers — unless its expressions are not
+// parallel-safe (a subquery or an outer reference, see binder), which pins it
+// to the statement's own goroutine.
+func (s *Session) fanOut(n int, parallelSafe bool) (workers int, slots chan struct{}) {
+	w, threshold, sl := s.engine.parallelism()
+	if n < threshold {
+		return 1, nil
 	}
-	w, thr, sl := s.engine.parallelism()
-	if n < thr {
-		return 0, nil, false
+	if !parallelSafe {
+		w, sl = 1, nil
 	}
 	m := &s.engine.metrics
 	m.parBatches.Add(1)
 	m.parMorsels.Add(int64(chunkCount(n, morselSize)))
 	m.parWorkers.ObserveValue(int64(w))
-	return w, sl, true
+	return w, sl
 }
 
 // chunkCount returns how many chunk-sized pieces cover n items.
@@ -112,62 +112,92 @@ func chunkCount(n, chunk int) int {
 }
 
 // runChunked partitions [0, n) into chunk-sized pieces and calls fn once per
-// piece, handing pieces out dynamically. Up to workers-1 extra goroutines
-// are claimed from the slot pool without blocking; the caller always
-// participates. fn must be safe to call concurrently for distinct indexes.
-func runChunked(slots chan struct{}, workers, n, chunk int, fn func(idx, start, end int)) {
+// piece. With one worker the pieces run in order on the caller and the first
+// error stops the loop. With more, up to workers-1 extra goroutines are
+// claimed from the slot pool without blocking, pieces are handed out
+// dynamically and the caller always participates; fn must then be safe to
+// call concurrently for distinct indexes. The error returned is the
+// lowest-indexed piece's — the one a single worker would have hit first.
+func runChunked(slots chan struct{}, workers, n, chunk int, fn func(idx, start, end int) error) error {
 	nc := chunkCount(n, chunk)
-	if nc == 0 {
-		return
+	if workers > nc {
+		workers = nc
 	}
+	if workers <= 1 || slots == nil {
+		for c := 0; c < nc; c++ {
+			if err := fn(c, c*chunk, min(c*chunk+chunk, n)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, nc)
 	var next atomic.Int64
+	var failed atomic.Bool
 	work := func() {
-		for {
+		// failed is read before a piece is claimed, never after: pieces are
+		// claimed in index order, so every piece below a failed one is already
+		// claimed and runs to completion, and the lowest error is found.
+		for !failed.Load() {
 			c := int(next.Add(1)) - 1
 			if c >= nc {
 				return
 			}
-			start := c * chunk
-			end := start + chunk
-			if end > n {
-				end = n
+			if errs[c] = fn(c, c*chunk, min(c*chunk+chunk, n)); errs[c] != nil {
+				failed.Store(true)
 			}
-			fn(c, start, end)
 		}
-	}
-	if workers > nc {
-		workers = nc
 	}
 	var wg sync.WaitGroup
-	if workers > 1 && slots != nil {
-		for i := 0; i < workers-1; i++ {
-			select {
-			case slots <- struct{}{}:
-			default:
-				i = workers // pool exhausted; run with what we have
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-slots }()
-				work()
-			}()
+	for i := 0; i < workers-1; i++ {
+		select {
+		case slots <- struct{}{}:
+		default:
+			i = workers // pool exhausted; run with what we have
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			work()
+		}()
 	}
 	work()
 	wg.Wait()
-}
-
-// firstError returns the error from the lowest-indexed chunk, matching the
-// first error the sequential executor would have reported.
-func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// morsels runs fn over [0, n) in morsel-sized pieces, handing each piece one
+// Env over cols that fn re-points at successive rows. The Env carries outer
+// and the session, so outer references and subqueries evaluate inside the
+// same loop.
+func (s *Session) morsels(n, workers int, slots chan struct{}, cols []envCol, outer *Env, fn func(env *Env, m, start, end int) error) error {
+	return runChunked(slots, workers, n, morselSize, func(m, start, end int) error {
+		return fn(&Env{cols: cols, outer: outer, sess: s}, m, start, end)
+	})
+}
+
+// concatParts joins per-morsel output buffers in morsel order into one
+// exact-size slice.
+func concatParts(parts [][][]Value) [][]Value {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([][]Value, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // boundColRef is a column reference resolved to a positional index at bind
@@ -183,537 +213,90 @@ func (b *boundColRef) Eval(env *Env) (Value, error) {
 
 func (b *boundColRef) String() string { return b.orig.String() }
 
-// resolveEnvCol mirrors Env.Lookup's resolution rules against a fixed
-// column layout: qualified references take the first matching column;
-// unqualified references must be unambiguous. Returns false whenever the
-// sequential path would consult the outer env or report an error, so the
-// caller falls back and semantics stay identical.
-func resolveEnvCol(c *ColumnRef, cols []envCol) (int, bool) {
-	table := strings.ToLower(c.Table)
-	name := strings.ToLower(c.Name)
-	idx := -1
-	for i := range cols {
-		if cols[i].name != name {
-			continue
-		}
-		if table != "" && cols[i].table != table {
-			continue
-		}
-		if idx >= 0 {
-			if table == "" {
-				return 0, false // ambiguous
-			}
-			continue // qualified: first match wins
-		}
-		idx = i
-	}
-	if idx < 0 {
-		return 0, false // unknown here; may exist in an outer env
-	}
-	return idx, true
+// binder rewrites an operator's expressions against its column layout. It is
+// best-effort per node: a column reference that resolves in cols becomes a
+// boundColRef, and whatever cannot be bound stays in place and evaluates by
+// name through the Env — a reference cols does not have (an outer reference,
+// or an unknown column Lookup will report), an ambiguous bare name, a
+// subquery, an aggregate call (its original pointer keys Env.agg). serial
+// records whether anything was left that must stay on the statement's
+// goroutine: subqueries execute through the session, and an unresolved
+// reference may read an enclosing operator's Env.
+type binder struct {
+	cols   []envCol
+	serial bool
 }
 
-// bindExpr clones e with every column reference resolved to a positional
-// index for the given column layout. It refuses anything that is not safe
-// or not meaningful to evaluate concurrently: subqueries (they execute
-// through the session), aggregate calls (the per-group value map is keyed
-// by the original node pointer), and references it cannot resolve locally.
-// ok=false means the caller must use the sequential path.
-func bindExpr(e Expr, cols []envCol) (Expr, bool) {
+// bindExpr binds one expression; parallelSafe is false when it holds a
+// subquery or an outer reference.
+func bindExpr(e Expr, cols []envCol) (bound Expr, parallelSafe bool) {
+	b := binder{cols: cols}
+	bound = b.bind(e)
+	return bound, !b.serial
+}
+
+func (b *binder) bindAll(in []Expr) []Expr {
+	out := make([]Expr, len(in))
+	for i, e := range in {
+		out[i] = b.bind(e)
+	}
+	return out
+}
+
+func (b *binder) bind(e Expr) Expr {
 	switch x := e.(type) {
 	case nil:
-		return nil, true
+		return nil
 	case *Literal:
-		return x, true
+		return x
 	case *ColumnRef:
-		idx, ok := resolveEnvCol(x, cols)
-		if !ok {
-			return nil, false
+		idx, matches := resolveCol(b.cols, strings.ToLower(x.Table), strings.ToLower(x.Name))
+		switch {
+		case matches == 0:
+			b.serial = true
+			return x
+		case matches > 1 && x.Table == "":
+			return x
 		}
-		return &boundColRef{idx: idx, orig: x}, true
+		return &boundColRef{idx: idx, orig: x}
 	case *BinaryExpr:
-		l, ok := bindExpr(x.Left, cols)
-		if !ok {
-			return nil, false
-		}
-		r, ok := bindExpr(x.Right, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BinaryExpr{Op: x.Op, Left: l, Right: r}, true
+		return &BinaryExpr{Op: x.Op, Left: b.bind(x.Left), Right: b.bind(x.Right)}
 	case *UnaryExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &UnaryExpr{Op: x.Op, Operand: op}, true
+		return &UnaryExpr{Op: x.Op, Operand: b.bind(x.Operand)}
 	case *FuncExpr:
 		if x.IsAggregate() {
-			return nil, false
+			return x
 		}
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			b, ok := bindExpr(a, cols)
-			if !ok {
-				return nil, false
-			}
-			args[i] = b
-		}
-		return &FuncExpr{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct}, true
+		return &FuncExpr{Name: x.Name, Args: b.bindAll(x.Args), Star: x.Star, Distinct: x.Distinct}
 	case *InExpr:
 		if x.Subquery != nil {
-			return nil, false
+			b.serial = true
 		}
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		list := make([]Expr, len(x.List))
-		for i, a := range x.List {
-			b, ok := bindExpr(a, cols)
-			if !ok {
-				return nil, false
-			}
-			list[i] = b
-		}
-		return &InExpr{Operand: op, List: list, Not: x.Not}, true
+		return &InExpr{Operand: b.bind(x.Operand), List: b.bindAll(x.List), Subquery: x.Subquery, Not: x.Not}
 	case *BetweenExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := bindExpr(x.Low, cols)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := bindExpr(x.High, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BetweenExpr{Operand: op, Low: lo, High: hi, Not: x.Not}, true
+		return &BetweenExpr{Operand: b.bind(x.Operand), Low: b.bind(x.Low), High: b.bind(x.High), Not: x.Not}
 	case *LikeExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		pat, ok := bindExpr(x.Pattern, cols)
-		if !ok {
-			return nil, false
-		}
-		return &LikeExpr{Operand: op, Pattern: pat, Not: x.Not}, true
+		return &LikeExpr{Operand: b.bind(x.Operand), Pattern: b.bind(x.Pattern), Not: x.Not}
 	case *IsNullExpr:
-		op, ok := bindExpr(x.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &IsNullExpr{Operand: op, Not: x.Not}, true
+		return &IsNullExpr{Operand: b.bind(x.Operand), Not: x.Not}
 	case *CaseExpr:
-		out := &CaseExpr{Whens: make([]CaseWhen, len(x.Whens))}
+		out := &CaseExpr{Whens: make([]CaseWhen, len(x.Whens)), Else: b.bind(x.Else)}
 		for i, w := range x.Whens {
-			cond, ok := bindExpr(w.Cond, cols)
-			if !ok {
-				return nil, false
-			}
-			res, ok := bindExpr(w.Result, cols)
-			if !ok {
-				return nil, false
-			}
-			out.Whens[i] = CaseWhen{Cond: cond, Result: res}
+			out.Whens[i] = CaseWhen{Cond: b.bind(w.Cond), Result: b.bind(w.Result)}
 		}
-		els, ok := bindExpr(x.Else, cols)
-		if !ok {
-			return nil, false
-		}
-		out.Else = els
-		return out, true
+		return out
 	}
-	// SubqueryExpr and anything this function does not know about.
-	return nil, false
-}
-
-// parScanFilter is the fused parallel table scan: morsels of the heap are
-// visibility-checked against the statement snapshot and, when cond is
-// non-nil, filtered in the same pass. Returns handled=false when the scan
-// cannot run batched (view target, unbindable predicate), in which case the
-// caller uses the sequential path.
-func (s *Session) parScanFilter(scan *SeqScanNode, cond Expr) (*rowSet, bool, error) {
-	if s.forceSeqScan || s.noParallel || scan.cols == nil {
-		return nil, false, nil
-	}
-	t, ok := s.engine.Table(scan.Table)
-	if !ok {
-		return nil, false, nil
-	}
-	q := strings.ToLower(scan.Alias)
-	if q == "" {
-		q = strings.ToLower(scan.Table)
-	}
-	cols := make([]string, 0, len(t.Columns))
-	for _, c := range t.Columns {
-		cols = append(cols, q+"."+strings.ToLower(c.Name))
-	}
-	envCols := toEnvCols(cols)
-	var bound Expr
-	if cond != nil {
-		b, ok := bindExpr(cond, envCols)
-		if !ok {
-			return nil, false, nil
-		}
-		bound = b
-	}
-	workers, _, slots := s.engine.parallelism()
-	//sqlvet:ignore mvccvisibility -- morsel fan-out snapshots the heap slice under the engine read lock and every row still goes through visible() below before it is emitted
-	rows := t.rows
-	sn := s.curView
-	nm := chunkCount(len(rows), morselSize)
-	type part struct {
-		out     [][]Value
-		visited int64
-		err     error
-	}
-	parts := make([]part, nm)
-	runChunked(slots, workers, len(rows), morselSize, func(m, start, end int) {
-		p := &parts[m]
-		buf := make([][]Value, 0, end-start)
-		env := &Env{cols: envCols, sess: s}
-		for _, entry := range rows[start:end] {
-			v := entry.visible(sn)
-			if v == nil {
-				continue
-			}
-			p.visited++
-			if bound != nil {
-				env.vals = v.vals
-				bv, err := bound.Eval(env)
-				if err != nil {
-					p.err = err
-					p.out = buf
-					return
-				}
-				if bv.IsNull() || !bv.Truthy() {
-					continue
-				}
-			}
-			buf = append(buf, v.vals)
-		}
-		p.out = buf
-	})
-	var visited, total int64
-	var firstErr error
-	for i := range parts {
-		visited += parts[i].visited
-		total += int64(len(parts[i].out))
-		if firstErr == nil && parts[i].err != nil {
-			firstErr = parts[i].err
-		}
-	}
-	s.engine.scanRowsVisited.Add(visited)
-	if firstErr != nil {
-		return nil, true, firstErr
-	}
-	// Centralized preallocation: one exact-size result buffer built from the
-	// per-morsel counts, instead of per-node growth.
-	out := make([][]Value, 0, total)
-	for i := range parts {
-		out = append(out, parts[i].out...)
-	}
-	return &rowSet{cols: cols, rows: out}, true, nil
+	// SubqueryExpr, and any node kind added without a case here.
+	b.serial = true
+	return e
 }
 
 // appendKeySegment appends one value to a composite hash key using the same
 // length-prefixed encoding as writeKeySegment, but into a reusable byte
-// buffer so workers do not allocate a strings.Builder per row.
+// buffer so a morsel does not allocate a strings.Builder per row.
 func appendKeySegment(buf []byte, v Value) []byte {
 	k := v.Key()
 	buf = strconv.AppendInt(buf, int64(len(k)), 10)
 	buf = append(buf, ':')
 	return append(buf, k...)
-}
-
-// parGroupKeys evaluates the bound GROUP BY expressions over every row in
-// parallel and returns one composite key per row.
-func parGroupKeys(exprs []Expr, envCols []envCol, rows [][]Value, workers int, slots chan struct{}) ([]string, error) {
-	keys := make([]string, len(rows))
-	errs := make([]error, chunkCount(len(rows), morselSize))
-	runChunked(slots, workers, len(rows), morselSize, func(m, start, end int) {
-		env := &Env{cols: envCols}
-		var buf []byte
-		for i := start; i < end; i++ {
-			buf = buf[:0]
-			env.vals = rows[i]
-			for _, ge := range exprs {
-				gv, err := ge.Eval(env)
-				if err != nil {
-					errs[m] = err
-					return
-				}
-				buf = appendKeySegment(buf, gv)
-			}
-			keys[i] = string(buf)
-		}
-	})
-	return keys, firstError(errs)
-}
-
-// parValueKeys computes rows[i][col].Key() for every row in parallel; the
-// hash-join build and probe sides use it to precompute join keys.
-func parValueKeys(rows [][]Value, col, workers int, slots chan struct{}) []string {
-	keys := make([]string, len(rows))
-	runChunked(slots, workers, len(rows), morselSize, func(_, start, end int) {
-		for i := start; i < end; i++ {
-			keys[i] = rows[i][col].Key()
-		}
-	})
-	return keys
-}
-
-// parDistinctKeys computes the composite dedup key for every output row in
-// parallel; the sequential dedup loop then consumes the precomputed keys.
-func parDistinctKeys(rows [][]Value, workers int, slots chan struct{}) []string {
-	keys := make([]string, len(rows))
-	runChunked(slots, workers, len(rows), morselSize, func(_, start, end int) {
-		var buf []byte
-		for i := start; i < end; i++ {
-			buf = buf[:0]
-			for _, v := range rows[i] {
-				buf = appendKeySegment(buf, v)
-			}
-			keys[i] = string(buf)
-		}
-	})
-	return keys
-}
-
-// parGroupRows is the batched GROUP BY: group keys are computed over the
-// input in parallel morsels, the hash build itself runs sequentially over
-// the precomputed keys (preserving first-appearance group order and
-// within-group row order), and per-group aggregates are then computed in
-// parallel across groups. handled=false means some expression could not be
-// bound (subquery, outer reference, nested aggregate) and the caller must
-// run the row-at-a-time path.
-func (s *Session) parGroupRows(st *SelectStmt, src *rowSet, outer *Env) ([]*groupResult, bool, error) {
-	workers, slots, ok := s.parallelEligible(len(src.rows), outer)
-	if !ok {
-		return nil, false, nil
-	}
-	envCols := toEnvCols(src.cols)
-	groupExprs := make([]Expr, len(st.GroupBy))
-	for i, ge := range st.GroupBy {
-		b, ok := bindExpr(ge, envCols)
-		if !ok {
-			return nil, false, nil
-		}
-		groupExprs[i] = b
-	}
-	aggNodes := collectAggNodes(st)
-	boundArgs := make([]Expr, len(aggNodes))
-	for i, f := range aggNodes {
-		if f.Star {
-			continue // COUNT(*): no argument to evaluate
-		}
-		if len(f.Args) != 1 {
-			return nil, false, nil // sequential path reports the arity error
-		}
-		b, ok := bindExpr(f.Args[0], envCols)
-		if !ok {
-			return nil, false, nil
-		}
-		boundArgs[i] = b
-	}
-
-	keys, err := parGroupKeys(groupExprs, envCols, src.rows, workers, slots)
-	if err != nil {
-		return nil, true, err
-	}
-	keyed := map[string]*groupResult{}
-	var order []*groupResult
-	for i, vals := range src.rows {
-		k := keys[i]
-		g, ok := keyed[k]
-		if !ok {
-			g = &groupResult{firstRow: vals}
-			keyed[k] = g
-			order = append(order, g)
-		}
-		g.rows = append(g.rows, vals)
-	}
-	// The input has at least threshold (>0) rows here, so the empty-input
-	// one-group fallback of the sequential path cannot apply.
-
-	errs := make([]error, len(order))
-	runChunked(slots, workers, len(order), 1, func(gi, _, _ int) {
-		g := order[gi]
-		g.agg = make(map[Expr]Value, len(aggNodes))
-		env := &Env{cols: envCols}
-		for i, f := range aggNodes {
-			v, err := computeAggregateBound(f, boundArgs[i], env, g.rows)
-			if err != nil {
-				errs[gi] = err
-				return
-			}
-			g.agg[f] = v
-		}
-	})
-	if err := firstError(errs); err != nil {
-		return nil, true, err
-	}
-	return order, true, nil
-}
-
-// computeAggregateBound is the batched counterpart of computeAggregate: the
-// argument expression is already bound, and the env is reused across rows.
-// Values are collected in within-group row order, so float SUM/AVG results
-// are bit-identical to the sequential path.
-func computeAggregateBound(f *FuncExpr, arg Expr, env *Env, rows [][]Value) (Value, error) {
-	if f.Star {
-		if f.Name != "COUNT" {
-			return Value{}, fmt.Errorf("%s(*) is not supported", f.Name)
-		}
-		return NewInt(int64(len(rows))), nil
-	}
-	var vals []Value
-	distinct := map[string]bool{}
-	for _, row := range rows {
-		env.vals = row
-		v, err := arg.Eval(env)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if f.Distinct {
-			k := v.Key()
-			if distinct[k] {
-				continue
-			}
-			distinct[k] = true
-		}
-		vals = append(vals, v)
-	}
-	return finishAggregate(f, vals)
-}
-
-// parProject is the batched projection: the select list is bound once
-// (star items become positional copy lists) and evaluated over the filtered
-// rows in parallel morsels. handled=false when an item cannot be bound or
-// the row count is below the threshold; the caller then projects
-// row-at-a-time.
-func (s *Session) parProject(items []SelectItem, src *rowSet, outer *Env) ([]string, [][]Value, bool, error) {
-	workers, slots, ok := s.parallelEligible(len(src.rows), outer)
-	if !ok {
-		return nil, nil, false, nil
-	}
-	envCols := toEnvCols(src.cols)
-	type projItem struct {
-		star  bool
-		idxs  []int  // star: source positions to copy
-		bound Expr   // non-star: bound expression
-		name  string // non-star: output column name
-	}
-	plan := make([]projItem, len(items))
-	width := 0
-	for i, it := range items {
-		if it.Star {
-			var idxs []int
-			for j, q := range src.cols {
-				tbl, _ := splitQualified(q)
-				if it.Table != "" && !strings.EqualFold(tbl, it.Table) {
-					continue
-				}
-				idxs = append(idxs, j)
-			}
-			plan[i] = projItem{star: true, idxs: idxs}
-			width += len(idxs)
-			continue
-		}
-		b, ok := bindExpr(it.Expr, envCols)
-		if !ok {
-			return nil, nil, false, nil
-		}
-		plan[i] = projItem{bound: b, name: itemName(it)}
-		width++
-	}
-	outCols, err := projectColsOnly(items, src.cols)
-	if err != nil {
-		return nil, nil, false, nil // let the sequential path report it
-	}
-
-	outRows := make([][]Value, len(src.rows))
-	errs := make([]error, chunkCount(len(src.rows), morselSize))
-	runChunked(slots, workers, len(src.rows), morselSize, func(m, start, end int) {
-		env := &Env{cols: envCols}
-		for i := start; i < end; i++ {
-			vals := src.rows[i]
-			env.vals = vals
-			row := make([]Value, 0, width)
-			for _, p := range plan {
-				if p.star {
-					for _, j := range p.idxs {
-						row = append(row, vals[j])
-					}
-					continue
-				}
-				v, err := p.bound.Eval(env)
-				if err != nil {
-					errs[m] = err
-					return
-				}
-				row = append(row, v)
-			}
-			outRows[i] = row
-		}
-	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, true, err
-	}
-	return outCols, outRows, true, nil
-}
-
-// parHashJoin is the parallel equi-join: join keys for both sides are
-// computed in morsels, the hash table is built sequentially from the
-// precomputed build-side keys (preserving bucket order), and the probe side
-// is scanned in morsels with per-morsel output buffers concatenated in
-// morsel order. Row order matches the sequential hash join exactly.
-func parHashJoin(out *rowSet, left, right *rowSet, li, ri, workers int, slots chan struct{}) *rowSet {
-	rkeys := parValueKeys(right.rows, ri, workers, slots)
-	ht := make(map[string][]int, len(right.rows))
-	arena := make([]int, 0, len(right.rows))
-	for idx := range right.rows {
-		k := rkeys[idx]
-		if b, hit := ht[k]; hit {
-			ht[k] = append(b, idx)
-		} else {
-			arena = append(arena, idx)
-			ht[k] = arena[len(arena)-1 : len(arena):len(arena)]
-		}
-	}
-	lkeys := parValueKeys(left.rows, li, workers, slots)
-	parts := make([][][]Value, chunkCount(len(left.rows), morselSize))
-	runChunked(slots, workers, len(left.rows), morselSize, func(m, start, end int) {
-		var buf [][]Value
-		for i := start; i < end; i++ {
-			lrow := left.rows[i]
-			if lrow[li].IsNull() {
-				continue
-			}
-			for _, idx := range ht[lkeys[i]] {
-				rrow := right.rows[idx]
-				combined := make([]Value, 0, len(lrow)+len(rrow))
-				combined = append(combined, lrow...)
-				combined = append(combined, rrow...)
-				buf = append(buf, combined)
-			}
-		}
-		parts[m] = buf
-	})
-	var total int
-	for _, p := range parts {
-		total += len(p)
-	}
-	out.rows = make([][]Value, 0, total)
-	for _, p := range parts {
-		out.rows = append(out.rows, p...)
-	}
-	return out
 }

@@ -7,12 +7,11 @@ import (
 )
 
 // benchParallelEngine builds a 40k-row fact table and a 64-row dimension
-// table with 4 workers configured, plus a sequential (batched-off) session
-// for baselines.
-func benchParallelEngine(b *testing.B) (par, seq *Session) {
+// table on an engine whose operators may use up to workers goroutines.
+func benchParallelEngine(b *testing.B, workers int) *Session {
 	b.Helper()
 	e := NewEngine("parbench")
-	e.SetParallelism(4, 1024)
+	e.SetParallelism(workers, 1024)
 	s := e.NewSession("root")
 	s.MustExec("CREATE TABLE big (id INT PRIMARY KEY, grp INT, val REAL)")
 	s.MustExec("CREATE TABLE dim (id INT PRIMARY KEY, label TEXT)")
@@ -30,9 +29,7 @@ func benchParallelEngine(b *testing.B) (par, seq *Session) {
 		dims = append(dims, fmt.Sprintf("(%d, 'g%d')", i, i))
 	}
 	s.MustExec("INSERT INTO dim VALUES " + strings.Join(dims, ", "))
-	seq = e.NewSession("root")
-	seq.SetParallel(false)
-	return s, seq
+	return s
 }
 
 func benchQuery(b *testing.B, s *Session, sql string) {
@@ -49,38 +46,24 @@ func benchQuery(b *testing.B, s *Session, sql string) {
 	}
 }
 
-const (
-	parScanQuery  = "SELECT COUNT(*) FROM big WHERE val < 2500.0"
-	parGroupQuery = "SELECT grp, COUNT(*), SUM(val), AVG(val) FROM big GROUP BY grp"
-	parJoinQuery  = "SELECT COUNT(*) FROM big JOIN dim ON big.grp = dim.id WHERE big.val < 5000.0"
-)
-
-func BenchmarkParallelSeqScan(b *testing.B) {
-	par, _ := benchParallelEngine(b)
-	benchQuery(b, par, parScanQuery)
+// benchFanOut runs one query over the same morsel loop at one worker and at
+// four: the difference is what fan-out buys on this host (nothing on one CPU).
+func benchFanOut(b *testing.B, sql string) {
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchQuery(b, benchParallelEngine(b, workers), sql)
+		})
+	}
 }
 
-func BenchmarkParallelSeqScanSequentialBaseline(b *testing.B) {
-	_, seq := benchParallelEngine(b)
-	benchQuery(b, seq, parScanQuery)
+func BenchmarkParallelSeqScan(b *testing.B) {
+	benchFanOut(b, "SELECT COUNT(*) FROM big WHERE val < 2500.0")
 }
 
 func BenchmarkParallelGroupBy(b *testing.B) {
-	par, _ := benchParallelEngine(b)
-	benchQuery(b, par, parGroupQuery)
-}
-
-func BenchmarkParallelGroupBySequentialBaseline(b *testing.B) {
-	_, seq := benchParallelEngine(b)
-	benchQuery(b, seq, parGroupQuery)
+	benchFanOut(b, "SELECT grp, COUNT(*), SUM(val), AVG(val) FROM big GROUP BY grp")
 }
 
 func BenchmarkParallelHashJoin(b *testing.B) {
-	par, _ := benchParallelEngine(b)
-	benchQuery(b, par, parJoinQuery)
-}
-
-func BenchmarkParallelHashJoinSequentialBaseline(b *testing.B) {
-	_, seq := benchParallelEngine(b)
-	benchQuery(b, seq, parJoinQuery)
+	benchFanOut(b, "SELECT COUNT(*) FROM big JOIN dim ON big.grp = dim.id WHERE big.val < 5000.0")
 }

@@ -27,10 +27,10 @@ type PlanNode interface {
 type SourceNode interface {
 	PlanNode
 	run(s *Session, outer *Env) (*rowSet, error)
-	// staticCols returns the qualified output columns when they are known
-	// at plan time (base-table scans and combinations thereof), or nil for
-	// sources resolved at run time (views).
-	staticCols() []string
+	// staticCols returns the output column layout when it is known at plan
+	// time (base-table scans and combinations thereof), or nil for sources
+	// resolved at run time (views).
+	staticCols() []envCol
 }
 
 // SeqScanNode reads every live row of a table (or materializes a view when
@@ -38,11 +38,12 @@ type SourceNode interface {
 type SeqScanNode struct {
 	Table string
 	Alias string
-	// Workers > 0 marks the scan for the batched/morsel path; > 1 also
-	// renders as a Parallel Seq Scan in EXPLAIN. The planner sets it from
-	// the engine's parallelism settings and a row-count threshold.
+	// Workers is display only: EXPLAIN sets it (labelScanWorkers) to the
+	// workers the scan may use at the table's live row count, and > 1
+	// renders as a Parallel Seq Scan. Execution never reads it — the scan
+	// decides its fan-out from the rows it finds when it runs.
 	Workers int
-	cols    []string // nil when the name is not a base table at plan time
+	cols    []envCol // nil when the name is not a base table at plan time
 }
 
 // Label implements PlanNode.
@@ -60,15 +61,10 @@ func (n *SeqScanNode) Label() string {
 // Children implements PlanNode.
 func (n *SeqScanNode) Children() []PlanNode { return nil }
 
-func (n *SeqScanNode) staticCols() []string { return n.cols }
+func (n *SeqScanNode) staticCols() []envCol { return n.cols }
 
 func (n *SeqScanNode) run(s *Session, outer *Env) (*rowSet, error) {
-	if n.Workers > 0 && outer == nil {
-		if rs, handled, err := s.parScanFilter(n, nil); handled {
-			return rs, err
-		}
-	}
-	return s.scanTable(n.Table, n.Alias)
+	return s.scanTable(n.Table, n.Alias, nil, outer)
 }
 
 // ViewScanNode materializes a stored view. Its output columns are only known
@@ -89,7 +85,7 @@ func (n *ViewScanNode) Label() string {
 // Children implements PlanNode.
 func (n *ViewScanNode) Children() []PlanNode { return nil }
 
-func (n *ViewScanNode) staticCols() []string { return nil }
+func (n *ViewScanNode) staticCols() []envCol { return nil }
 
 func (n *ViewScanNode) run(s *Session, outer *Env) (*rowSet, error) {
 	v, ok := s.engine.ViewByName(n.View)
@@ -111,7 +107,7 @@ type IndexScanNode struct {
 	Val    Value  // the equality literal
 
 	col  int // column position in the table
-	cols []string
+	cols []envCol
 }
 
 // Label implements PlanNode.
@@ -123,7 +119,7 @@ func (n *IndexScanNode) Label() string {
 // Children implements PlanNode.
 func (n *IndexScanNode) Children() []PlanNode { return nil }
 
-func (n *IndexScanNode) staticCols() []string { return n.cols }
+func (n *IndexScanNode) staticCols() []envCol { return n.cols }
 
 func (n *IndexScanNode) run(s *Session, outer *Env) (*rowSet, error) {
 	t, ok := s.engine.Table(n.Table)
@@ -134,7 +130,7 @@ func (n *IndexScanNode) run(s *Session, outer *Env) (*rowSet, error) {
 	if !usable {
 		// The access path disappeared between plan and execution (e.g. a
 		// replan against a changed catalog); fall back to a full scan.
-		return s.scanTable(n.Table, n.Alias)
+		return s.scanTable(n.Table, n.Alias, nil, outer)
 	}
 	rs := &rowSet{cols: n.cols, rows: make([][]Value, 0, len(ids))}
 	// Preserve insertion order for determinism.
@@ -182,7 +178,7 @@ type IndexRangeScanNode struct {
 	MaxRows int
 
 	col  int // column position in the table
-	cols []string
+	cols []envCol
 }
 
 // Label implements PlanNode.
@@ -224,7 +220,7 @@ func (n *IndexRangeScanNode) condString() string {
 // Children implements PlanNode.
 func (n *IndexRangeScanNode) Children() []PlanNode { return nil }
 
-func (n *IndexRangeScanNode) staticCols() []string { return n.cols }
+func (n *IndexRangeScanNode) staticCols() []envCol { return n.cols }
 
 // withNulls reports whether NULL rows belong in the emission: only for
 // unbounded ordered scans serving a sort (bounded scans exclude them, and
@@ -266,7 +262,7 @@ func (n *IndexRangeScanNode) run(s *Session, outer *Env) (*rowSet, error) {
 		// its re-check filter) and re-sorting when the plan promised an
 		// order. Only the MaxRows cutoff is skipped, which over- rather than
 		// under-produces; LIMIT/OFFSET still apply downstream.
-		rs, err := s.scanTable(n.Table, n.Alias)
+		rs, err := s.scanTable(n.Table, n.Alias, nil, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +277,7 @@ func (n *IndexRangeScanNode) run(s *Session, outer *Env) (*rowSet, error) {
 			return rs, nil
 		}
 		sort.SliceStable(rs.rows, func(i, j int) bool {
-			c, null := compareForOrder(rs.rows[i][n.col], rs.rows[j][n.col], n.Desc)
+			c, null := compareForOrder(rs.rows[i][n.col], rs.rows[j][n.col])
 			if null || c == 0 {
 				return false
 			}
@@ -312,21 +308,30 @@ func (n *FilterNode) Label() string { return "Filter: " + n.Cond.String() }
 // Children implements PlanNode.
 func (n *FilterNode) Children() []PlanNode { return []PlanNode{n.Input} }
 
-func (n *FilterNode) staticCols() []string { return n.Input.staticCols() }
+func (n *FilterNode) staticCols() []envCol { return n.Input.staticCols() }
 
 func (n *FilterNode) run(s *Session, outer *Env) (*rowSet, error) {
-	// Fuse filter into a parallel scan: visibility check and predicate run
-	// in the same morsel pass, so filtered rows never materialize.
-	if scan, ok := n.Input.(*SeqScanNode); ok && scan.Workers > 0 && outer == nil {
-		if rs, handled, err := s.parScanFilter(scan, n.Cond); handled {
-			return rs, err
+	// A filter over a table scan fuses into it: visibility check and
+	// predicate run in the same morsel pass, so filtered rows never
+	// materialize.
+	if scan, ok := n.Input.(*SeqScanNode); ok {
+		if a := s.analyze; a != nil {
+			// The fused scan never runs as a node of its own; give EXPLAIN
+			// ANALYZE its row count from the engine-wide counter delta (exact
+			// unless another session scans concurrently, which is acceptable
+			// for a diagnostic annotation).
+			start, before := time.Now(), s.engine.scanRowsVisited.Load()
+			defer func() {
+				a.note(scan, int(s.engine.scanRowsVisited.Load()-before), time.Since(start))
+			}()
 		}
+		return s.scanTable(scan.Table, scan.Alias, n.Cond, outer)
 	}
 	src, err := s.runSource(n.Input, outer)
 	if err != nil {
 		return nil, err
 	}
-	return s.applyFilter(n.Cond, src, outer)
+	return s.filterRows(n.Cond, src, outer)
 }
 
 // Join strategies reported in EXPLAIN output.
@@ -345,7 +350,7 @@ type JoinNode struct {
 	Left     SourceNode
 	Right    SourceNode
 
-	cols []string
+	cols []envCol
 }
 
 // Label implements PlanNode.
@@ -372,7 +377,7 @@ func (n *JoinNode) Label() string {
 // Children implements PlanNode.
 func (n *JoinNode) Children() []PlanNode { return []PlanNode{n.Left, n.Right} }
 
-func (n *JoinNode) staticCols() []string { return n.cols }
+func (n *JoinNode) staticCols() []envCol { return n.cols }
 
 func (n *JoinNode) run(s *Session, outer *Env) (*rowSet, error) {
 	left, err := s.runSource(n.Left, outer)
@@ -383,8 +388,7 @@ func (n *JoinNode) run(s *Session, outer *Env) (*rowSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := TableRef{JoinKind: n.Kind, On: n.On}
-	return s.joinSets(left, right, ref, outer)
+	return s.joinSets(left, right, n.Kind, n.On, outer)
 }
 
 // resultNode is the leaf for FROM-less SELECTs.
@@ -557,17 +561,12 @@ func (p *WritePlan) matchEntries(s *Session) ([]*rowEntry, error) {
 	if !ok {
 		return nil, &NotFoundError{Kind: "table", Name: p.Table}
 	}
-	envCols := tableEnvCols(t)
+	cols := p.Access.staticCols() // every access path is a scan of p.Table under its own name
+	where, _ := bindExpr(p.Where, cols)
+	env := &Env{cols: cols, sess: s}
 	keep := func(v *rowVersion) (bool, error) {
-		if p.Where == nil {
-			return true, nil
-		}
-		env := &Env{cols: envCols, vals: v.vals, sess: s}
-		ev, err := p.Where.Eval(env)
-		if err != nil {
-			return false, err
-		}
-		return !ev.IsNull() && ev.Truthy(), nil
+		env.vals = v.vals
+		return passes(where, env)
 	}
 
 	// Index access paths (equality bucket or ordered range) reduce the

@@ -89,7 +89,7 @@ func (s *Session) planSelect(st *SelectStmt) *SelectPlan {
 		ref := st.From[i]
 		join := &JoinNode{Kind: ref.JoinKind, On: ref.On, Left: acc, Right: sources[i]}
 		if lc, rc := acc.staticCols(), sources[i].staticCols(); lc != nil && rc != nil {
-			join.cols = append(append([]string{}, lc...), rc...)
+			join.cols = append(append([]envCol{}, lc...), rc...)
 			join.Strategy = JoinStrategyNested
 			if ref.JoinKind == JoinInner && ref.On != nil {
 				if _, _, ok := equiJoinCols(ref.On, lc, rc); ok {
@@ -104,40 +104,27 @@ func (s *Session) planSelect(st *SelectStmt) *SelectPlan {
 	if len(st.From) == 1 {
 		s.pushSortAndLimit(plan)
 	}
-	// After access paths are final: ordered (index) scans are never
-	// parallelized — their row order is a promise the sort/Top-K pushdown
-	// relies on — so only the seq scans that survived are considered.
-	s.markParallelScans(plan)
 	return plan
 }
 
-// markParallelScans flags the plan's remaining sequential scans for the
-// morsel-driven batched path when the table clears the engine's row-count
-// threshold. Sessions that disabled parallelism plan purely sequential
-// trees (and are excluded from the shared plan cache, like forceSeqScan).
-func (s *Session) markParallelScans(plan *SelectPlan) {
-	if s.forceSeqScan || s.noParallel || plan.Source == nil {
-		return
-	}
-	workers, threshold, _ := s.engine.parallelism()
-	var mark func(n SourceNode)
-	mark = func(n SourceNode) {
-		switch src := n.(type) {
-		case *SeqScanNode:
-			if src.cols == nil {
-				return
-			}
-			if t, ok := s.engine.Table(src.Table); ok && t.RowCount() >= threshold {
-				src.Workers = workers
-			}
-		case *FilterNode:
-			mark(src.Input)
-		case *JoinNode:
-			mark(src.Left)
-			mark(src.Right)
+// labelScanWorkers is EXPLAIN's annotation of the sequential scans in a plan
+// it is about to print (explained plans are never cached): the workers a
+// scan may use at the table's row count now. Ordered index scans are never
+// fanned out — their row order is a promise the sort/Top-K pushdown relies
+// on — so only seq scans carry the mark.
+func (s *Session) labelScanWorkers(n SourceNode) {
+	switch src := n.(type) {
+	case *SeqScanNode:
+		workers, threshold, _ := s.engine.parallelism()
+		if t, ok := s.engine.Table(src.Table); ok && t.RowCount() >= threshold {
+			src.Workers = workers
 		}
+	case *FilterNode:
+		s.labelScanWorkers(src.Input)
+	case *JoinNode:
+		s.labelScanWorkers(src.Left)
+		s.labelScanWorkers(src.Right)
 	}
-	mark(plan.Source)
 }
 
 // pushSortAndLimit pushes a single-key ORDER BY into an ordered index scan
@@ -179,7 +166,7 @@ func (s *Session) pushSortAndLimit(p *SelectPlan) {
 	case *IndexRangeScanNode:
 		// The range scan must already be on the sort column; a scan ordered
 		// by one column cannot emit another column's order.
-		if resolveIn(cr, n.cols) != n.col {
+		if uniqueCol(cr, n.cols) != n.col {
 			return
 		}
 		scan = n
@@ -187,7 +174,7 @@ func (s *Session) pushSortAndLimit(p *SelectPlan) {
 		if n.cols == nil {
 			return
 		}
-		col := resolveIn(cr, n.cols)
+		col := uniqueCol(cr, n.cols)
 		if col < 0 {
 			return
 		}
@@ -262,8 +249,8 @@ func literalIntAtLeastZero(e Expr) (int, bool) {
 
 // planScan lowers one FROM entry into a scan node.
 func (s *Session) planScan(ref TableRef) SourceNode {
-	if _, ok := s.engine.Table(ref.Table); ok {
-		return &SeqScanNode{Table: ref.Table, Alias: ref.Alias, cols: qualifiedCols(s.engine, ref)}
+	if t, ok := s.engine.Table(ref.Table); ok {
+		return &SeqScanNode{Table: ref.Table, Alias: ref.Alias, cols: tableEnvCols(t, ref.Alias)}
 	}
 	if _, ok := s.engine.ViewByName(ref.Table); ok {
 		return &ViewScanNode{View: ref.Table, Alias: ref.Alias}
@@ -304,7 +291,7 @@ type rangeBound struct {
 // pushed predicate (CoversFilter) — the precondition for fusing LIMIT into
 // the scan later. Shared by SELECT scans and the UPDATE/DELETE write
 // planner, like indexScanFor.
-func (s *Session) rangeScanFor(table, alias string, pushed []Expr, cols []string) *IndexRangeScanNode {
+func (s *Session) rangeScanFor(table, alias string, pushed []Expr, cols []envCol) *IndexRangeScanNode {
 	t, ok := s.engine.Table(table)
 	if !ok {
 		return nil
@@ -393,9 +380,9 @@ func tightenHi(cur, cand *rangeBound) *rangeBound {
 // order) or `col BETWEEN lit AND lit`. The literal must be comparable with
 // the column's type (numeric with numeric, otherwise same kind) so the
 // ordered structure's order agrees with the predicate's Compare.
-func rangeConjunct(c Expr, cols []string, t *Table) (col int, lo, hi *rangeBound, ok bool) {
+func rangeConjunct(c Expr, cols []envCol, t *Table) (col int, lo, hi *rangeBound, ok bool) {
 	resolve := func(cr *ColumnRef, v Value) (int, bool) {
-		i := resolveIn(cr, cols)
+		i := uniqueCol(cr, cols)
 		if i < 0 || i >= len(t.Columns) || !rangeBoundCompatible(v, t.Columns[i].Type) {
 			return -1, false
 		}
@@ -474,7 +461,7 @@ func rangeBoundCompatible(v Value, colType Kind) bool {
 // where on an indexed or primary-key column, or nil when no access path
 // applies. It is the single access-path selection rule, shared by SELECT
 // scans and the UPDATE/DELETE write planner so the two can never diverge.
-func (s *Session) indexScanFor(table, alias string, where Expr, cols []string) *IndexScanNode {
+func (s *Session) indexScanFor(table, alias string, where Expr, cols []envCol) *IndexScanNode {
 	t, ok := s.engine.Table(table)
 	if !ok {
 		return nil
@@ -496,23 +483,6 @@ func (s *Session) indexScanFor(table, alias string, where Expr, cols []string) *
 		col:    col,
 		cols:   cols,
 	}
-}
-
-// qualifiedCols computes the qualified output columns of a base-table scan.
-func qualifiedCols(e *Engine, ref TableRef) []string {
-	t, ok := e.Table(ref.Table)
-	if !ok {
-		return nil
-	}
-	q := strings.ToLower(ref.Alias)
-	if q == "" {
-		q = strings.ToLower(ref.Table)
-	}
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = q + "." + strings.ToLower(c.Name)
-	}
-	return cols
 }
 
 // splitConjuncts flattens a predicate into its top-level AND conjuncts.
@@ -565,7 +535,7 @@ func owningSource(c Expr, sources []SourceNode) (int, bool) {
 				ok = false
 				return
 			}
-			if resolveIn(cr, cols) >= 0 {
+			if uniqueCol(cr, cols) >= 0 {
 				if hit >= 0 {
 					// Resolves in more than one source: ambiguous.
 					ok = false
@@ -614,6 +584,7 @@ func (s *Session) planStmt(stmt Stmt) (*Plan, error) {
 		if err := checkSourcesExist(sel.Source); err != nil {
 			return nil, err
 		}
+		s.labelScanWorkers(sel.Source)
 		return &Plan{stmt: st, sel: sel, root: sel.Tree()}, nil
 	case *InsertStmt:
 		if _, ok := s.engine.Table(st.Table); !ok {

@@ -86,6 +86,21 @@ func TestSelectOrderByOrdinalAndAlias(t *testing.T) {
 	}
 }
 
+// TestOrderByOrdinalRangeIgnoresData: an out-of-range ORDER BY position is an
+// error of the statement, whether or not any row reaches the sort.
+func TestOrderByOrdinalRangeIgnoresData(t *testing.T) {
+	_, s := newTestEngine(t)
+	_, withRows := s.Exec(`SELECT id FROM items ORDER BY 5`)
+	_, noRows := s.Exec(`SELECT id FROM items WHERE id < 0 ORDER BY 5`)
+	const want = "ORDER BY position 5 is out of range"
+	if withRows == nil || withRows.Error() != want {
+		t.Fatalf("with rows: got %v, want %q", withRows, want)
+	}
+	if noRows == nil || noRows.Error() != want {
+		t.Fatalf("over an empty result: got %v, want %q", noRows, want)
+	}
+}
+
 func TestAggregates(t *testing.T) {
 	_, s := newTestEngine(t)
 	r := mustQuery(t, s, `SELECT COUNT(*), SUM(price), MIN(price), MAX(price), AVG(qty) FROM items, sales WHERE items.id = sales.item_id`)

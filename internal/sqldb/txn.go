@@ -230,11 +230,6 @@ type Session struct {
 	// session is excluded from the shared plan cache in both directions
 	// (see Session.Exec and prepare).
 	forceSeqScan bool
-	// noParallel forces the batched/morsel execution paths off for this
-	// session (see SetParallel); the equivalence suite compares normal
-	// sessions against it. Like forceSeqScan, such a session is excluded
-	// from the shared plan cache in both directions.
-	noParallel bool
 	// grantTok parks the WAL durability claim of a GRANT/REVOKE statement
 	// (see Engine.logGrantsBatched): execGrant/execRevoke run under the
 	// engine write lock, so they stash the token here and execStmtLocked
@@ -250,15 +245,6 @@ type Session struct {
 	// the slow-query entry's retry count. Atomic so noteStmtDone can touch
 	// it without s.mu.
 	retryStreak atomic.Int64
-}
-
-// SetParallel enables or disables batched/parallel query execution for this
-// session. It defaults to on; the parallel-vs-sequential equivalence tests
-// and benchmarks use a disabled session as the row-at-a-time baseline.
-func (s *Session) SetParallel(enabled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noParallel = !enabled
 }
 
 // NewSession opens a session for user.
