@@ -51,7 +51,7 @@ vulncheck:
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/sqldb
-	$(GO) test -run '^$$' -bench 'BenchmarkProxyTwoProducers|BenchmarkTransformMatrix|BenchmarkSelectToolOverhead' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkProxyTwoProducers|BenchmarkTransformMatrix|BenchmarkSelectToolOverhead|BenchmarkListTools|BenchmarkNewToolkit|BenchmarkAgentStaticPrefix' -benchtime=1x ./internal/core ./internal/agent
 
 # benchmark/ is a module of its own, so build, vet and test above do not see
 # it: a change under internal/ can break the repository benchmark unnoticed.

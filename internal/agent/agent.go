@@ -152,26 +152,22 @@ func renderTools(tools []mcp.ToolInfo) string {
 }
 
 func isTransactionOpen(call llm.ToolCall) bool {
-	if call.Tool == "begin" {
-		return true
-	}
-	if call.Tool == "execute_sql" {
-		if sql, ok := call.Args["sql"].(string); ok {
-			return strings.EqualFold(strings.TrimSpace(strings.Fields(sql + " ")[0]), "BEGIN")
-		}
-	}
-	return false
+	return call.Tool == "begin" || strings.EqualFold(sqlVerb(call), "BEGIN")
 }
 
 func isSelectCall(call llm.ToolCall) bool {
-	if call.Tool == "select" {
-		return true
+	return call.Tool == "select" || strings.EqualFold(sqlVerb(call), "SELECT")
+}
+
+// sqlVerb is the first word of the statement an execute_sql call carries;
+// empty for any other call and for a blank or missing statement.
+func sqlVerb(call llm.ToolCall) string {
+	if call.Tool != "execute_sql" {
+		return ""
 	}
-	if call.Tool == "execute_sql" {
-		if sql, ok := call.Args["sql"].(string); ok {
-			f := strings.Fields(sql)
-			return len(f) > 0 && strings.EqualFold(f[0], "SELECT")
-		}
+	sql, _ := call.Args["sql"].(string)
+	if f := strings.Fields(sql); len(f) > 0 {
+		return f[0]
 	}
-	return false
+	return ""
 }

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -206,5 +207,35 @@ func TestAgentUnknownToolBecomesErrorObservation(t *testing.T) {
 	}
 	if !met.Completed {
 		t.Fatalf("run should continue past unknown tool: %+v", met)
+	}
+}
+
+// A whitespace-only statement is the tool's error to report, not the
+// agent's to crash on: the model sees the observation and the run goes on.
+func TestAgentBlankSQLBecomesErrorObservation(t *testing.T) {
+	reg := mcp.NewRegistry()
+	reg.Register(&mcp.Tool{Name: "execute_sql",
+		Handler: func(ctx context.Context, args map[string]any) (any, error) {
+			if sql, _ := args["sql"].(string); strings.TrimSpace(sql) == "" {
+				return nil, fmt.Errorf("execute_sql: missing required argument \"sql\"")
+			}
+			return "1 row", nil
+		}})
+	model := &scriptedModel{name: "m", window: 100000, decisions: []*llm.Decision{
+		{Calls: []llm.ToolCall{{Tool: "execute_sql", Args: map[string]any{"sql": "  "}}}},
+		{Calls: []llm.ToolCall{{Tool: "execute_sql", Args: map[string]any{"sql": ""}}}},
+		{Calls: []llm.ToolCall{{Tool: "execute_sql", Args: map[string]any{"sql": "SELECT 1"}}}},
+		{Final: "recovered"},
+	}}
+	a := &Agent{Model: model, Client: mcp.NewClient(mcp.NewServer(reg))}
+	met, err := a.Run(context.Background(), testTask())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !met.Completed || met.FinalAnswer != "recovered" || met.ToolCalls != 3 || met.LLMCalls != 4 {
+		t.Fatalf("run did not continue past the blank statements: %+v", met)
+	}
+	if met.TransactionUsed || met.LastQueryResult != "1 row" {
+		t.Fatalf("blank statements misread: %+v", met)
 	}
 }

@@ -364,12 +364,8 @@ func (c *SQLDBConn) ListObjects() []ObjectInfo {
 
 // ObjectDDL implements Conn.
 func (c *SQLDBConn) ObjectDDL(name string) (string, error) {
-	e := c.sess.Engine()
-	if t, ok := e.Table(name); ok {
-		return sqldb.SchemaSQL(t), nil
-	}
-	if v, ok := e.ViewByName(name); ok {
-		return sqldb.ViewSQL(v), nil
+	if ddl, ok := c.sess.Engine().ObjectDDL(name); ok {
+		return ddl, nil
 	}
 	return "", &sqldb.NotFoundError{Kind: "table", Name: name}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bridgescope/internal/mcp"
+	"bridgescope/internal/mltools"
 	"bridgescope/internal/sqldb"
 )
 
@@ -99,4 +100,70 @@ func BenchmarkTransformMatrix(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// adminBenchToolkit is the widest toolkit New builds: all 14 tools.
+func adminBenchToolkit(tb testing.TB) *Toolkit {
+	tb.Helper()
+	e := sqldb.NewEngine("bench")
+	root := e.NewSession("root")
+	for _, name := range []string{"items", "sales", "customers", "audit_log", "notes"} {
+		root.MustExec(fmt.Sprintf(`CREATE TABLE %s (id INT PRIMARY KEY, name TEXT NOT NULL, amount REAL)`, name))
+	}
+	e.Grants().GrantAll("admin", "*")
+	return New(NewSQLDBConn(e, "admin"), Policy{})
+}
+
+// BenchmarkListTools is one tools/list round trip over the widest list a
+// benchmark task sees (the admin's tools plus the six ML tools): join the
+// pre-encoded entries, decode them at the client.
+func BenchmarkListTools(b *testing.B) {
+	tk := adminBenchToolkit(b)
+	mltools.NewServer(7).RegisterTools(tk.Registry())
+	client := tk.Client()
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := client.ListTools(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewToolkit is what every agent task pays before its first call:
+// one catalog pass, the exposure decisions, handlers bound to the static
+// definitions. readonly is the user whose write actions are each probed on
+// every table.
+func BenchmarkNewToolkit(b *testing.B) {
+	e := adminBenchToolkit(b).Conn().(*SQLDBConn).Session().Engine()
+	e.Grants().Grant("readonly", sqldb.ActionSelect, "*")
+	for _, user := range []string{"admin", "readonly"} {
+		b.Run(user, func(b *testing.B) {
+			conn := NewSQLDBConn(e, user)
+			b.ReportAllocs()
+			for b.Loop() {
+				New(conn, Policy{})
+			}
+		})
+	}
+}
+
+// TestListToolsAllocations keeps the tool list off the map trees it used to
+// be re-marshalled from and re-parsed into: 550 objects a listing then, and
+// three per tool (name, description, schema bytes) plus the envelope now.
+func TestListToolsAllocations(t *testing.T) {
+	client, ctx := adminBenchToolkit(t).Client(), context.Background()
+	tools, err := client.ListTools(ctx)
+	if err != nil || len(tools) != 14 {
+		t.Fatalf("admin toolkit lists %d tools: %v", len(tools), err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := client.ListTools(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 100 {
+		t.Fatalf("ListTools on the 14-tool admin toolkit allocates %.0f objects, want < 100", allocs)
+	}
+	t.Logf("ListTools: %.0f allocations for 14 tools", allocs)
 }

@@ -278,3 +278,46 @@ func TestConnExplain(t *testing.T) {
 		t.Fatalf("Explain on EXPLAIN-prefixed sql: %v", err)
 	}
 }
+
+// probeCounter counts the catalog reads and privilege probes New makes.
+type probeCounter struct {
+	Conn
+	lists, probes int
+}
+
+func (c *probeCounter) ListObjects() []ObjectInfo {
+	c.lists++
+	return c.Conn.ListObjects()
+}
+
+func (c *probeCounter) HasPrivilege(action, object string) bool {
+	c.probes++
+	return c.Conn.HasPrivilege(action, object)
+}
+
+// New reads the catalog once, and a user whose grants sit on the last table
+// is asked about every table only until that one answers.
+func TestNewMakesOneCatalogPass(t *testing.T) {
+	e := newStoreEngine(t) // items, sales, secrets
+	e.Grants().GrantAll("clerk", "secrets")
+	e.Grants().Grant("reader", sqldb.ActionSelect, "*")
+	for user, want := range map[string]struct {
+		probes int
+		tools  string
+	}{
+		// select: 3 probes to reach secrets; then 5 actions x 1 probe, CREATE x 1.
+		"clerk": {9, "alter_table delete drop_table insert select update"},
+		// select answers on the first table; 5 actions x 3 tables, CREATE x 1.
+		"reader": {17, "select"},
+		"nobody": {19, ""},
+	} {
+		conn := &probeCounter{Conn: NewSQLDBConn(e, user)}
+		tk := New(conn, Policy{})
+		if conn.lists != 1 || conn.probes != want.probes {
+			t.Errorf("%s: %d catalog reads and %d privilege probes, want 1 and %d", user, conn.lists, conn.probes, want.probes)
+		}
+		if got := strings.Join(tk.ExposedSQLTools(), " "); got != want.tools {
+			t.Errorf("%s: exposed %q, want %q", user, got, want.tools)
+		}
+	}
+}

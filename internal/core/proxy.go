@@ -19,33 +19,32 @@ const (
 	proxyTransformKey = "__transform__"
 )
 
-func (t *Toolkit) registerProxyTool() {
-	t.reg.Register(&mcp.Tool{
-		Name: "proxy",
-		Description: "Execute target_tool with tool_args, where any argument value may be a producer " +
-			"spec {\"__tool__\": name, \"__args__\": {...}, \"__transform__\": expr} whose output is " +
-			"routed directly into the argument without passing through you. Producer specs nest " +
-			"arbitrarily; sibling producers run in parallel. Use this whenever one tool's (possibly " +
-			"large) output feeds another tool. Transform expressions: identity | rows | field:<name> | " +
-			"column:<name> | matrix:<c1,c2,...> | vector:<col> | first | count | flatten, chainable " +
-			"with '|'. \"lambda x: x\" is accepted as identity.",
-		InputSchema: map[string]any{
-			"type": "object",
-			"properties": map[string]any{
-				"target_tool": map[string]any{"type": "string"},
-				"tool_args":   map[string]any{"type": "object"},
-			},
-			"required": []any{"target_tool", "tool_args"},
+var proxyTool = mcp.NewTool("proxy",
+	"Execute target_tool with tool_args, where any argument value may be a producer "+
+		"spec {\"__tool__\": name, \"__args__\": {...}, \"__transform__\": expr} whose output is "+
+		"routed directly into the argument without passing through you. Producer specs nest "+
+		"arbitrarily; sibling producers run in parallel. Use this whenever one tool's (possibly "+
+		"large) output feeds another tool. Transform expressions: identity | rows | field:<name> | "+
+		"column:<name> | matrix:<c1,c2,...> | vector:<col> | first | count | flatten, chainable "+
+		"with '|'. \"lambda x: x\" is accepted as identity.",
+	map[string]any{
+		"type": "object",
+		"properties": map[string]any{
+			"target_tool": map[string]any{"type": "string"},
+			"tool_args":   map[string]any{"type": "object"},
 		},
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			target, _ := args["target_tool"].(string)
-			if target == "" {
-				return nil, fmt.Errorf("proxy: missing required argument \"target_tool\"")
-			}
-			toolArgs, _ := args["tool_args"].(map[string]any)
-			return t.runProxyUnit(ctx, target, toolArgs)
-		},
+		"required": []any{"target_tool", "tool_args"},
 	})
+
+func (t *Toolkit) registerProxyTool() {
+	t.reg.Register(proxyTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		target, _ := args["target_tool"].(string)
+		if target == "" {
+			return nil, fmt.Errorf("proxy: missing required argument \"target_tool\"")
+		}
+		toolArgs, _ := args["tool_args"].(map[string]any)
+		return t.runProxyUnit(ctx, target, toolArgs)
+	}))
 }
 
 // runProxyUnit executes one proxy unit ⟨p, c, f⟩ (paper §2.5): resolve every

@@ -10,39 +10,25 @@ import (
 	"bridgescope/internal/textsim"
 )
 
-func (t *Toolkit) registerContextTools() {
-	t.reg.Register(&mcp.Tool{
-		Name: "get_schema",
-		Description: "Retrieve the database schema. For small databases this returns full object " +
-			"definitions with your access privileges annotated; for large databases it returns object " +
-			"names only (call get_object for details).",
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			return t.getSchema()
-		},
-	})
-	t.reg.Register(&mcp.Tool{
-		Name:        "get_object",
-		Description: "Retrieve the detailed definition (columns, keys, constraints) of one named object, with your access privileges annotated.",
-		InputSchema: map[string]any{
+// The context-retrieval tools (paper §2.2).
+var (
+	getSchemaTool = mcp.NewTool("get_schema",
+		"Retrieve the database schema. For small databases this returns full object "+
+			"definitions with your access privileges annotated; for large databases it returns object "+
+			"names only (call get_object for details).", nil)
+	getObjectTool = mcp.NewTool("get_object",
+		"Retrieve the detailed definition (columns, keys, constraints) of one named object, with your access privileges annotated.",
+		map[string]any{
 			"type": "object",
 			"properties": map[string]any{
 				"object": map[string]any{"type": "string", "description": "object name"},
 			},
 			"required": []any{"object"},
-		},
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			name, _ := args["object"].(string)
-			if name == "" {
-				return nil, fmt.Errorf("get_object: missing required argument \"object\"")
-			}
-			return t.getObject(name)
-		},
-	})
-	t.reg.Register(&mcp.Tool{
-		Name: "get_value",
-		Description: "Retrieve the top-k values in a column's domain most semantically relevant to a " +
+		})
+	getValueTool = mcp.NewTool("get_value",
+		"Retrieve the top-k values in a column's domain most semantically relevant to a "+
 			"task-specific key. Use this to write predicates that match the actual stored values.",
-		InputSchema: map[string]any{
+		map[string]any{
 			"type": "object",
 			"properties": map[string]any{
 				"table":  map[string]any{"type": "string"},
@@ -51,21 +37,33 @@ func (t *Toolkit) registerContextTools() {
 				"k":      map[string]any{"type": "integer", "description": "how many values to return"},
 			},
 			"required": []any{"table", "column", "key"},
-		},
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			table, _ := args["table"].(string)
-			column, _ := args["column"].(string)
-			key, _ := args["key"].(string)
-			k := t.policy.valueTopK()
-			if kv, ok := args["k"].(float64); ok && kv > 0 {
-				k = int(kv)
-			}
-			if table == "" || column == "" || key == "" {
-				return nil, fmt.Errorf("get_value: required arguments are table, column, key")
-			}
-			return t.getValue(table, column, key, k)
-		},
-	})
+		})
+)
+
+func (t *Toolkit) registerContextTools() {
+	t.reg.Register(getSchemaTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		return t.getSchema()
+	}))
+	t.reg.Register(getObjectTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		name, _ := args["object"].(string)
+		if name == "" {
+			return nil, fmt.Errorf("get_object: missing required argument \"object\"")
+		}
+		return t.getObject(name)
+	}))
+	t.reg.Register(getValueTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		table, _ := args["table"].(string)
+		column, _ := args["column"].(string)
+		key, _ := args["key"].(string)
+		k := t.policy.valueTopK()
+		if kv, ok := args["k"].(float64); ok && kv > 0 {
+			k = int(kv)
+		}
+		if table == "" || column == "" || key == "" {
+			return nil, fmt.Errorf("get_value: required arguments are table, column, key")
+		}
+		return t.getValue(table, column, key, k)
+	}))
 }
 
 // permittedObjects lists catalog objects that pass the user-side policy.

@@ -14,28 +14,50 @@ import (
 // sqlToolSpec maps each SQL-action tool to the privilege it requires and the
 // statement verb it accepts (paper §2.3, action-level tool modularization).
 type sqlToolSpec struct {
-	name        string
-	action      string // privilege action keyword
-	verb        string // statement verb the tool accepts
-	description string
+	name   string
+	action string   // privilege action keyword
+	verb   string   // statement verb the tool accepts
+	def    mcp.Tool // what a client is shown; New binds the handler to a copy
+}
+
+func sqlSpec(name, verb, description string) sqlToolSpec {
+	return sqlToolSpec{name: name, action: verb, verb: verb, def: mcp.NewTool(name, description, map[string]any{
+		"type": "object",
+		"properties": map[string]any{
+			"sql": map[string]any{"type": "string", "description": "the SQL statement"},
+		},
+		"required": []any{"sql"},
+	})}
 }
 
 var sqlToolSpecs = []sqlToolSpec{
-	{"select", "SELECT", "SELECT",
-		"Execute a single SELECT statement. Only SELECT is accepted; use the matching tool for other operations."},
-	{"insert", "INSERT", "INSERT",
-		"Execute a single INSERT statement. Only INSERT is accepted."},
-	{"update", "UPDATE", "UPDATE",
-		"Execute a single UPDATE statement. Only UPDATE is accepted."},
-	{"delete", "DELETE", "DELETE",
-		"Execute a single DELETE statement. Only DELETE is accepted."},
-	{"create_table", "CREATE", "CREATE",
-		"Execute a single CREATE TABLE or CREATE INDEX statement."},
-	{"drop_table", "DROP", "DROP",
-		"Execute a single DROP TABLE statement."},
-	{"alter_table", "ALTER", "ALTER",
-		"Execute a single ALTER TABLE statement."},
+	sqlSpec("select", "SELECT",
+		"Execute a single SELECT statement. Only SELECT is accepted; use the matching tool for other operations."),
+	sqlSpec("insert", "INSERT", "Execute a single INSERT statement. Only INSERT is accepted."),
+	sqlSpec("update", "UPDATE", "Execute a single UPDATE statement. Only UPDATE is accepted."),
+	sqlSpec("delete", "DELETE", "Execute a single DELETE statement. Only DELETE is accepted."),
+	sqlSpec("create_table", "CREATE", "Execute a single CREATE TABLE or CREATE INDEX statement."),
+	sqlSpec("drop_table", "DROP", "Execute a single DROP TABLE statement."),
+	sqlSpec("alter_table", "ALTER", "Execute a single ALTER TABLE statement."),
 }
+
+// The transaction tools (paper §2.4).
+var (
+	beginTool = mcp.NewTool("begin",
+		"Begin a new transaction (snapshot isolation). Wrap multi-statement database modifications in begin/commit for atomicity. "+
+			"On a serialization-conflict error, rollback and retry the transaction. Optional 'isolation' selects the level.",
+		map[string]any{
+			"type": "object",
+			"properties": map[string]any{
+				"isolation": map[string]any{
+					"type":        "string",
+					"description": "READ COMMITTED, REPEATABLE READ, SNAPSHOT (default), or SERIALIZABLE",
+				},
+			},
+		})
+	commitTool   = mcp.NewTool("commit", "Commit the current transaction, making its changes permanent.", nil)
+	rollbackTool = mcp.NewTool("rollback", "Roll back the current transaction, discarding its changes.", nil)
+)
 
 // Toolkit is a configured BridgeScope instance bound to one database
 // connection (hence one user) and one security policy.
@@ -48,13 +70,16 @@ type Toolkit struct {
 
 // New builds a BridgeScope toolkit over conn with the given policy. The
 // returned toolkit's Registry contains exactly the tools this user may see
-// (paper §2.3: selective exposure).
+// (paper §2.3: selective exposure). Tool definitions are package-level
+// values; New decides which to expose and binds this toolkit's handlers.
 func New(conn Conn, policy Policy) *Toolkit {
 	t := &Toolkit{conn: conn, policy: policy, reg: mcp.NewRegistry()}
 	t.client = mcp.NewClient(mcp.NewServer(t.reg))
 	t.registerContextTools()
-	t.registerSQLTools()
-	t.registerTxnTools()
+	// Transaction tools appear only when the user can modify data at all.
+	if t.registerSQLTools() {
+		t.registerTxnTools()
+	}
 	t.registerProxyTool()
 	return t
 }
@@ -82,52 +107,42 @@ func (t *Toolkit) ExposedSQLTools() []string {
 	return out
 }
 
-// exposeSQLTool reports whether a SQL-action tool should be exposed: the
-// user must hold the action on at least one permitted object (or the
-// database for CREATE), and the tool must pass the policy lists.
-func (t *Toolkit) exposeSQLTool(spec sqlToolSpec) bool {
-	if !t.policy.ToolPermitted(spec.name) {
-		return false
-	}
-	if spec.action == "CREATE" {
+// holds reports whether the user holds action on at least one of objs, the
+// permitted objects (on the database, for CREATE). The object that answers
+// moves to the front: a user with grants on one table out of many tends to
+// hold the next action there too, and is then asked once, not once per table.
+func (t *Toolkit) holds(action string, objs []ObjectInfo) bool {
+	if action == "CREATE" {
 		return t.conn.HasPrivilege("CREATE", "*")
 	}
-	for _, obj := range t.conn.ListObjects() {
-		if !t.policy.ObjectPermitted(obj.Name) {
-			continue
-		}
-		if t.conn.HasPrivilege(spec.action, obj.Name) {
+	for i, obj := range objs {
+		if t.conn.HasPrivilege(action, obj.Name) {
+			objs[0], objs[i] = obj, objs[0]
 			return true
 		}
 	}
 	return false
 }
 
-func (t *Toolkit) registerSQLTools() {
+// registerSQLTools exposes each SQL-action tool that passes the policy lists
+// and whose action the user holds, reading the catalog once for all seven.
+// It reports whether a tool that modifies data is among them.
+func (t *Toolkit) registerSQLTools() (canWrite bool) {
+	objs := t.permittedObjects() // a copy: holds reorders it
 	for _, spec := range sqlToolSpecs {
-		if !t.exposeSQLTool(spec) {
+		if !t.policy.ToolPermitted(spec.name) || !t.holds(spec.action, objs) {
 			continue
 		}
-		spec := spec
-		t.reg.Register(&mcp.Tool{
-			Name:        spec.name,
-			Description: spec.description,
-			InputSchema: map[string]any{
-				"type": "object",
-				"properties": map[string]any{
-					"sql": map[string]any{"type": "string", "description": "the SQL statement"},
-				},
-				"required": []any{"sql"},
-			},
-			Handler: func(ctx context.Context, args map[string]any) (any, error) {
-				sql, _ := args["sql"].(string)
-				if strings.TrimSpace(sql) == "" {
-					return nil, fmt.Errorf("%s: missing required argument \"sql\"", spec.name)
-				}
-				return t.execSQL(spec, sql)
-			},
-		})
+		canWrite = canWrite || spec.name != "select"
+		t.reg.Register(spec.def.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+			sql, _ := args["sql"].(string)
+			if strings.TrimSpace(sql) == "" {
+				return nil, fmt.Errorf("%s: missing required argument \"sql\"", spec.name)
+			}
+			return t.execSQL(spec, sql)
+		}))
 	}
+	return canWrite
 }
 
 // execSQL enforces statement-type matching and object-level verification
@@ -185,76 +200,40 @@ func (r *Result) tabular() map[string]any {
 }
 
 func (t *Toolkit) registerTxnTools() {
-	// Transaction tools appear only when the user can modify data at all.
-	hasWrite := false
-	for _, spec := range sqlToolSpecs {
-		if spec.name == "select" {
-			continue
-		}
-		if _, ok := t.reg.Get(spec.name); ok {
-			hasWrite = true
-			break
-		}
-	}
-	if !hasWrite {
-		return
-	}
-	t.reg.Register(&mcp.Tool{
-		Name: "begin",
-		Description: "Begin a new transaction (snapshot isolation). Wrap multi-statement database modifications in begin/commit for atomicity. " +
-			"On a serialization-conflict error, rollback and retry the transaction. Optional 'isolation' selects the level.",
-		InputSchema: map[string]any{
-			"type": "object",
-			"properties": map[string]any{
-				"isolation": map[string]any{
-					"type":        "string",
-					"description": "READ COMMITTED, REPEATABLE READ, SNAPSHOT (default), or SERIALIZABLE",
-				},
-			},
-		},
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			if level, _ := args["isolation"].(string); level != "" {
-				// Validate against the known level spellings BEFORE any SQL
-				// is assembled: the argument is caller-controlled and must
-				// never be concatenated into a statement unchecked.
-				if _, ok := sqldb.ParseIsolationLevel(level); !ok {
-					return nil, fmt.Errorf("unknown isolation level %q", level)
-				}
-				if bi, ok := t.conn.(interface{ BeginIsolation(string) error }); ok {
-					if err := bi.BeginIsolation(level); err != nil {
-						return nil, err
-					}
-					return "BEGIN", nil
-				}
-				if _, err := t.conn.Exec("BEGIN ISOLATION LEVEL " + level); err != nil {
+	t.reg.Register(beginTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		if level, _ := args["isolation"].(string); level != "" {
+			// Validate against the known level spellings BEFORE any SQL
+			// is assembled: the argument is caller-controlled and must
+			// never be concatenated into a statement unchecked.
+			if _, ok := sqldb.ParseIsolationLevel(level); !ok {
+				return nil, fmt.Errorf("unknown isolation level %q", level)
+			}
+			if bi, ok := t.conn.(interface{ BeginIsolation(string) error }); ok {
+				if err := bi.BeginIsolation(level); err != nil {
 					return nil, err
 				}
 				return "BEGIN", nil
 			}
-			if err := t.conn.Begin(); err != nil {
+			if _, err := t.conn.Exec("BEGIN ISOLATION LEVEL " + level); err != nil {
 				return nil, err
 			}
 			return "BEGIN", nil
-		},
-	})
-	t.reg.Register(&mcp.Tool{
-		Name:        "commit",
-		Description: "Commit the current transaction, making its changes permanent.",
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			if err := t.conn.Commit(); err != nil {
-				return nil, err
-			}
-			return "COMMIT", nil
-		},
-	})
-	t.reg.Register(&mcp.Tool{
-		Name:        "rollback",
-		Description: "Roll back the current transaction, discarding its changes.",
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			if err := t.conn.Rollback(); err != nil {
-				return nil, err
-			}
-			return "ROLLBACK", nil
-		},
-	})
+		}
+		if err := t.conn.Begin(); err != nil {
+			return nil, err
+		}
+		return "BEGIN", nil
+	}))
+	t.reg.Register(commitTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		if err := t.conn.Commit(); err != nil {
+			return nil, err
+		}
+		return "COMMIT", nil
+	}))
+	t.reg.Register(rollbackTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		if err := t.conn.Rollback(); err != nil {
+			return nil, err
+		}
+		return "ROLLBACK", nil
+	}))
 }

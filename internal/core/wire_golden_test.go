@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,22 +10,58 @@ import (
 	"strings"
 	"testing"
 
+	"bridgescope/internal/mcp"
 	"bridgescope/internal/mltools"
+	"bridgescope/internal/sqldb"
 )
 
 var updateWireGolden = flag.Bool("update-wire-golden", false, "rewrite testdata/wire_golden.json from this build's output")
 
-// wireResult is what a top-level client receives for one call.
-type wireResult struct {
-	Text  string `json:"text"`
-	Data  string `json:"data"`
-	IsErr bool   `json:"is_err,omitempty"`
+// wireCall is one tools/call in both directions: the request a transport
+// would carry and what a top-level client receives back.
+type wireCall struct {
+	Request string `json:"request"`
+	Text    string `json:"text"`
+	Data    string `json:"data"`
+	IsErr   bool   `json:"is_err,omitempty"`
 }
 
-// TestWireGolden pins the bytes a top-level client (and so the model)
-// receives. testdata/wire_golden.json was captured at the commit before the
-// proxy stopped encoding hand-offs; whatever changes inside the toolkit, these
-// bytes may not.
+// wireGolden is testdata/wire_golden.json: every call case, and the
+// tools/list result for three users.
+type wireGolden struct {
+	Calls     map[string]wireCall `json:"calls"`
+	ToolsList map[string]string   `json:"tools_list"`
+}
+
+// wireRequest is the tools/call request with the given id as the client
+// encodes it: one json.Marshal of the typed envelope.
+func wireRequest(t *testing.T, id int64, name string, args map[string]any) string {
+	t.Helper()
+	raw, err := json.Marshal(&mcp.Request{JSONRPC: "2.0", ID: id, Method: "tools/call",
+		Params: &mcp.CallParams{Name: name, Arguments: args}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// wireToolsList is the tools/list result a client of reg receives.
+func wireToolsList(t *testing.T, reg *mcp.Registry) string {
+	t.Helper()
+	resp := mcp.NewServer(reg).Handle(context.Background(), &mcp.Request{JSONRPC: "2.0", ID: 1, Method: "tools/list"})
+	if resp.Error != nil {
+		t.Fatal(resp.Error)
+	}
+	return string(resp.Result)
+}
+
+// TestWireGolden pins the bytes that cross the tool protocol in both
+// directions: each request, each result a top-level client (and so the
+// model) receives, and the tool list. The results in
+// testdata/wire_golden.json were captured at the commit before the proxy
+// stopped encoding hand-offs, the requests and tool lists at the commit
+// before tool schemas were held encoded; whatever changes inside the
+// toolkit, these bytes may not.
 func TestWireGolden(t *testing.T) {
 	e := newStoreEngine(t)
 	root := e.NewSession("root")
@@ -71,10 +108,17 @@ func TestWireGolden(t *testing.T) {
 			"tool_args":   map[string]any{"series": sel("SELECT qty FROM sales ORDER BY order_id", "column:qty")},
 		}},
 	}
-	got := map[string]wireResult{}
-	for _, c := range cases {
+	got := wireGolden{Calls: map[string]wireCall{}, ToolsList: map[string]string{}}
+	// Listed before the calls run: a tool list does not depend on the data.
+	e.Grants().Grant("reader", sqldb.ActionSelect, "items")
+	got.ToolsList["admin_with_ml_tools"] = wireToolsList(t, tk.Registry())
+	got.ToolsList["select_only"] = wireToolsList(t, New(NewSQLDBConn(e, "reader"), Policy{}).Registry())
+	got.ToolsList["no_grants"] = wireToolsList(t, New(NewSQLDBConn(e, "nobody"), Policy{}).Registry())
+	for i, c := range cases {
+		// The toolkit's client numbers its requests from 1.
+		req := wireRequest(t, int64(i+1), c.tool, c.args)
 		res := call(t, tk, c.tool, c.args)
-		got[c.name] = wireResult{Text: res.Text, Data: string(res.Data), IsErr: res.IsErr}
+		got.Calls[c.name] = wireCall{Request: req, Text: res.Text, Data: string(res.Data), IsErr: res.IsErr}
 	}
 
 	path := filepath.Join("testdata", "wire_golden.json")
@@ -95,16 +139,22 @@ func TestWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]wireResult
+	var want wireGolden
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(cases) {
-		t.Fatalf("golden has %d cases, test has %d", len(want), len(cases))
+	if len(want.Calls) != len(cases) || len(want.ToolsList) != len(got.ToolsList) {
+		t.Fatalf("golden has %d calls and %d tool lists, test has %d and %d",
+			len(want.Calls), len(want.ToolsList), len(cases), len(got.ToolsList))
 	}
 	for _, c := range cases {
-		if got[c.name] != want[c.name] {
-			t.Errorf("%s: wire bytes changed\n got: %+v\nwant: %+v", c.name, got[c.name], want[c.name])
+		if got.Calls[c.name] != want.Calls[c.name] {
+			t.Errorf("%s: wire bytes changed\n got: %+v\nwant: %+v", c.name, got.Calls[c.name], want.Calls[c.name])
+		}
+	}
+	for user, list := range got.ToolsList {
+		if list != want.ToolsList[user] {
+			t.Errorf("tools/list for %s changed\n got: %s\nwant: %s", user, list, want.ToolsList[user])
 		}
 	}
 }

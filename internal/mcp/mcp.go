@@ -5,17 +5,28 @@
 // Every argument and result that passes between the model and a server
 // crosses a JSON serialization boundary exactly as it would over a real MCP
 // connection, so payload sizes — the quantity the paper's token accounting
-// measures — are faithful. Hand-offs between tools of one server (the proxy
-// calling its siblings' handlers) deliberately do not: that data never reaches
-// the model, and Server.Handle is the only place a result is encoded.
+// measures — are faithful. Each direction is one codec pass: the client
+// marshals a Request, params included, once and Server.serve unmarshals it
+// once, so a handler's arguments were always parsed from bytes; Server.Handle
+// is the only place a result is encoded, and the client decodes it once.
+// Hand-offs between tools of one server (the proxy calling its siblings'
+// handlers) deliberately cross no boundary: that data never reaches the model.
+//
+// What does not vary between calls is encoded once: a tool's input schema is
+// held as JSON, NewTool encodes a definition's tools/list entry for every
+// copy and registry it will be bound into, and tools/list joins the entries.
+// Nothing is cached per registry, so Register and Unregister invalidate
+// nothing.
 package mcp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Handler executes a tool call. Server.Handle encodes what it returns: a
@@ -29,20 +40,70 @@ type Renderer interface {
 	Render() CallResult
 }
 
-// Tool is one callable tool with its JSON-schema-style input description.
+// Tool is one callable tool with its JSON-schema-style input description,
+// held encoded. A copy with another Handler is the same tool to a client.
 type Tool struct {
 	Name        string
 	Description string
-	InputSchema map[string]any
+	InputSchema json.RawMessage
 	Handler     Handler
+
+	// entry is what NewTool encoded; copies share it.
+	entry *listEntry
 }
 
 // ToolInfo is the wire-visible description of a tool (what an LLM sees in
 // its tool list).
 type ToolInfo struct {
-	Name        string         `json:"name"`
-	Description string         `json:"description"`
-	InputSchema map[string]any `json:"inputSchema,omitempty"`
+	Name        string          `json:"name"`
+	Description string          `json:"description"`
+	InputSchema json.RawMessage `json:"inputSchema,omitempty"`
+}
+
+// listEntry is a description and the tools/list element that encodes it.
+type listEntry struct {
+	info ToolInfo
+	wire json.RawMessage
+}
+
+// NewTool describes a tool once for every toolkit that will Bind a handler
+// to it: the schema is encoded here (keys sorted, as json.Marshal orders a
+// map) and so is the tool's tools/list entry. Definitions are package-level
+// values, so a schema that cannot be encoded is a bug and panics at start-up.
+func NewTool(name, description string, schema map[string]any) Tool {
+	encode := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			panic(fmt.Sprintf("mcp: tool %q: %v", name, err))
+		}
+		return raw
+	}
+	t := Tool{Name: name, Description: description}
+	if len(schema) > 0 {
+		t.InputSchema = encode(schema)
+	}
+	t.entry = &listEntry{info: t.info(), wire: encode(t.info())}
+	return t
+}
+
+// Bind returns a copy of t whose handler is h.
+func (t Tool) Bind(h Handler) *Tool {
+	t.Handler = h
+	return &t
+}
+
+func (t *Tool) info() ToolInfo {
+	return ToolInfo{Name: t.Name, Description: t.Description, InputSchema: t.InputSchema}
+}
+
+// listEntry returns the tool's tools/list element: NewTool's while it still
+// describes the tool, else encoded now.
+func (t *Tool) listEntry() (json.RawMessage, error) {
+	if e := t.entry; e != nil && e.info.Name == t.Name && e.info.Description == t.Description &&
+		bytes.Equal(e.info.InputSchema, t.InputSchema) {
+		return e.wire, nil
+	}
+	return json.Marshal(t.info())
 }
 
 // Registry holds the tools a server exposes. It preserves registration
@@ -55,7 +116,8 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{tools: map[string]*Tool{}}
+	// Sized for a full toolkit, so building one does not regrow them.
+	return &Registry{tools: make(map[string]*Tool, 16), order: make([]string, 0, 16)}
 }
 
 // Register adds a tool; re-registering a name replaces it in place.
@@ -92,16 +154,22 @@ func (r *Registry) Get(name string) (*Tool, bool) {
 	return t, ok
 }
 
-// List returns tool descriptions in registration order.
-func (r *Registry) List() []ToolInfo {
+// listJSON is the tools/list result: the tools' entries in registration order.
+func (r *Registry) listJSON() (json.RawMessage, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]ToolInfo, 0, len(r.order))
-	for _, n := range r.order {
-		t := r.tools[n]
-		out = append(out, ToolInfo{Name: t.Name, Description: t.Description, InputSchema: t.InputSchema})
+	out := append(make([]byte, 0, 8<<10), '[') // a full toolkit lists in about 6 KB
+	for i, n := range r.order {
+		entry, err := r.tools[n].listEntry()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, entry...)
 	}
-	return out
+	return append(out, ']'), nil
 }
 
 // Names returns the registered tool names sorted alphabetically.
@@ -115,12 +183,19 @@ func (r *Registry) Names() []string {
 
 // --- JSON-RPC style envelopes ---
 
-// Request is a JSON-RPC 2.0 request.
+// Request is a JSON-RPC 2.0 request. Params is typed so the envelope and
+// the arguments are encoded, and decoded, in one pass.
 type Request struct {
-	JSONRPC string          `json:"jsonrpc"`
-	ID      int64           `json:"id"`
-	Method  string          `json:"method"`
-	Params  json.RawMessage `json:"params,omitempty"`
+	JSONRPC string      `json:"jsonrpc"`
+	ID      int64       `json:"id"`
+	Method  string      `json:"method"`
+	Params  *CallParams `json:"params,omitempty"`
+}
+
+// CallParams is the params object of tools/call.
+type CallParams struct {
+	Name      string         `json:"name"`
+	Arguments map[string]any `json:"arguments"`
 }
 
 // Response is a JSON-RPC 2.0 response.
@@ -147,11 +222,6 @@ const (
 	CodeToolError      = -32000
 )
 
-type callParams struct {
-	Name      string         `json:"name"`
-	Arguments map[string]any `json:"arguments"`
-}
-
 // CallResult is the result payload of tools/call. Text carries the rendered
 // content shown to the LLM; Data carries the structured payload for
 // tool-to-tool transfer (what the proxy mechanism forwards without LLM
@@ -170,13 +240,22 @@ type Server struct {
 // NewServer wraps a registry.
 func NewServer(r *Registry) *Server { return &Server{Registry: r} }
 
-// Handle processes one request.
+// serve decodes one request off the wire — the request direction's only
+// decode — and handles it.
+func (s *Server) serve(ctx context.Context, wire []byte) *Response {
+	var req Request
+	if err := json.Unmarshal(wire, &req); err != nil {
+		return &Response{JSONRPC: "2.0", Error: &RPCError{Code: CodeInvalidParams, Message: err.Error()}}
+	}
+	return s.Handle(ctx, &req)
+}
+
+// Handle processes one decoded request.
 func (s *Server) Handle(ctx context.Context, req *Request) *Response {
 	resp := &Response{JSONRPC: "2.0", ID: req.ID}
 	switch req.Method {
 	case "tools/list":
-		list := s.Registry.List()
-		raw, err := json.Marshal(list)
+		raw, err := s.Registry.listJSON()
 		if err != nil {
 			resp.Error = &RPCError{Code: CodeToolError, Message: err.Error()}
 			return resp
@@ -184,9 +263,9 @@ func (s *Server) Handle(ctx context.Context, req *Request) *Response {
 		resp.Result = raw
 		return resp
 	case "tools/call":
-		var params callParams
-		if err := json.Unmarshal(req.Params, &params); err != nil {
-			resp.Error = &RPCError{Code: CodeInvalidParams, Message: err.Error()}
+		params := req.Params
+		if params == nil {
+			resp.Error = &RPCError{Code: CodeInvalidParams, Message: "tools/call without params"}
 			return resp
 		}
 		tool, ok := s.Registry.Get(params.Name)
@@ -242,8 +321,7 @@ func renderResult(out any) (CallResult, error) {
 // envelope a remote client would use.
 type Client struct {
 	srv    *Server
-	mu     sync.Mutex
-	nextID int64
+	nextID atomic.Int64
 }
 
 // NewClient connects a client to a server.
@@ -252,30 +330,14 @@ func NewClient(srv *Server) *Client { return &Client{srv: srv} }
 // Registry exposes the registry of the server this client talks to.
 func (c *Client) Registry() *Registry { return c.srv.Registry }
 
-func (c *Client) roundTrip(ctx context.Context, method string, params any) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if params != nil {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return nil, err
-		}
-		raw = b
-	}
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	c.mu.Unlock()
-	req := &Request{JSONRPC: "2.0", ID: id, Method: method, Params: raw}
-	// Serialize and re-parse the request to honor the wire boundary.
-	wire, err := json.Marshal(req)
+func (c *Client) roundTrip(ctx context.Context, method string, params *CallParams) (json.RawMessage, error) {
+	// The request direction's only encode; what serve receives is what a
+	// transport would carry.
+	wire, err := json.Marshal(&Request{JSONRPC: "2.0", ID: c.nextID.Add(1), Method: method, Params: params})
 	if err != nil {
 		return nil, err
 	}
-	var decoded Request
-	if err := json.Unmarshal(wire, &decoded); err != nil {
-		return nil, err
-	}
-	resp := c.srv.Handle(ctx, &decoded)
+	resp := c.srv.serve(ctx, wire)
 	if resp.Error != nil {
 		return nil, resp.Error
 	}
@@ -288,7 +350,7 @@ func (c *Client) ListTools(ctx context.Context) ([]ToolInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []ToolInfo
+	out := make([]ToolInfo, 0, 16) // a full toolkit, so decoding does not regrow it
 	if err := json.Unmarshal(raw, &out); err != nil {
 		return nil, err
 	}
@@ -298,7 +360,7 @@ func (c *Client) ListTools(ctx context.Context) ([]ToolInfo, error) {
 // CallTool invokes a tool and returns its result payload. Tool-level errors
 // come back as CallResult{IsErr: true}, not as a Go error, mirroring MCP.
 func (c *Client) CallTool(ctx context.Context, name string, args map[string]any) (CallResult, error) {
-	raw, err := c.roundTrip(ctx, "tools/call", callParams{Name: name, Arguments: args})
+	raw, err := c.roundTrip(ctx, "tools/call", &CallParams{Name: name, Arguments: args})
 	if err != nil {
 		return CallResult{}, err
 	}

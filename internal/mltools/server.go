@@ -34,63 +34,56 @@ func NewServer(seed int64) *Server {
 	return &Server{models: map[string]storedModel{}, seed: seed}
 }
 
-// RegisterTools adds the analytics tools to reg.
-func (s *Server) RegisterTools(reg *mcp.Registry) {
-	reg.Register(&mcp.Tool{
-		Name:        "zscore_normalize",
-		Description: "Standardize a feature matrix to zero mean and unit variance per column. Returns the normalized features plus the column means and stds.",
-		InputSchema: objSchema(map[string]any{
+// The analytics tools as a client is shown them; RegisterTools binds a
+// server's handlers to copies.
+var (
+	zscoreTool = mcp.NewTool("zscore_normalize",
+		"Standardize a feature matrix to zero mean and unit variance per column. Returns the normalized features plus the column means and stds.",
+		objSchema(map[string]any{
 			"features": map[string]any{"type": "array", "description": "matrix of numbers"},
-		}, "features"),
-		Handler: s.handleZScore,
-	})
-	reg.Register(&mcp.Tool{
-		Name:        "train_linear_regression",
-		Description: "Train a linear regression on features/target with an 80/20 train-test split. Returns a model_id handle plus train/test RMSE and R².",
-		InputSchema: objSchema(map[string]any{
+		}, "features"))
+	trainLinearTool = mcp.NewTool("train_linear_regression",
+		"Train a linear regression on features/target with an 80/20 train-test split. Returns a model_id handle plus train/test RMSE and R².",
+		objSchema(map[string]any{
 			"features": map[string]any{"type": "array"},
 			"target":   map[string]any{"type": "array"},
-		}, "features", "target"),
-		Handler: s.handleTrainLinear,
-	})
-	reg.Register(&mcp.Tool{
-		Name:        "train_random_forest",
-		Description: "Train a random-forest regressor on features/target with an 80/20 train-test split. Returns a model_id handle plus train/test RMSE and R².",
-		InputSchema: objSchema(map[string]any{
+		}, "features", "target"))
+	trainForestTool = mcp.NewTool("train_random_forest",
+		"Train a random-forest regressor on features/target with an 80/20 train-test split. Returns a model_id handle plus train/test RMSE and R².",
+		objSchema(map[string]any{
 			"features": map[string]any{"type": "array"},
 			"target":   map[string]any{"type": "array"},
 			"trees":    map[string]any{"type": "integer"},
-		}, "features", "target"),
-		Handler: s.handleTrainForest,
-	})
-	reg.Register(&mcp.Tool{
-		Name:        "predict",
-		Description: "Predict with a previously trained model (by model_id) on a feature matrix. Applies the model's stored normalization when present.",
-		InputSchema: objSchema(map[string]any{
+		}, "features", "target"))
+	predictTool = mcp.NewTool("predict",
+		"Predict with a previously trained model (by model_id) on a feature matrix. Applies the model's stored normalization when present.",
+		objSchema(map[string]any{
 			"model_id": map[string]any{"type": "string"},
 			"features": map[string]any{"type": "array"},
-		}, "model_id", "features"),
-		Handler: s.handlePredict,
-	})
-	reg.Register(&mcp.Tool{
-		Name:        "evaluate_regression",
-		Description: "Compute RMSE and R² between predictions and ground truth.",
-		InputSchema: objSchema(map[string]any{
+		}, "model_id", "features"))
+	evaluateTool = mcp.NewTool("evaluate_regression",
+		"Compute RMSE and R² between predictions and ground truth.",
+		objSchema(map[string]any{
 			"predictions": map[string]any{"type": "array"},
 			"truth":       map[string]any{"type": "array"},
-		}, "predictions", "truth"),
-		Handler: s.handleEvaluate,
-	})
-	reg.Register(&mcp.Tool{
-		Name:        "trend_analyze",
-		Description: "Analyze trends in one or two numeric series (e.g. sales and refunds records) and report direction, slope and mean.",
-		InputSchema: objSchema(map[string]any{
+		}, "predictions", "truth"))
+	trendTool = mcp.NewTool("trend_analyze",
+		"Analyze trends in one or two numeric series (e.g. sales and refunds records) and report direction, slope and mean.",
+		objSchema(map[string]any{
 			"sales":   map[string]any{"type": "array"},
 			"refunds": map[string]any{"type": "array"},
 			"series":  map[string]any{"type": "array"},
-		}),
-		Handler: s.handleTrend,
-	})
+		}))
+)
+
+// RegisterTools adds the analytics tools to reg.
+func (s *Server) RegisterTools(reg *mcp.Registry) {
+	reg.Register(zscoreTool.Bind(s.handleZScore))
+	reg.Register(trainLinearTool.Bind(s.handleTrainLinear))
+	reg.Register(trainForestTool.Bind(s.handleTrainForest))
+	reg.Register(predictTool.Bind(s.handlePredict))
+	reg.Register(evaluateTool.Bind(s.handleEvaluate))
+	reg.Register(trendTool.Bind(s.handleTrend))
 }
 
 func objSchema(props map[string]any, required ...string) map[string]any {

@@ -34,45 +34,43 @@ type Toolkit struct {
 	reg  *mcp.Registry
 }
 
-// New builds the baseline toolkit.
-func New(conn core.Conn, opts Options) *Toolkit {
-	t := &Toolkit{conn: conn, reg: mcp.NewRegistry()}
-	if opts.WithSchemaTool {
-		t.reg.Register(&mcp.Tool{
-			Name:        "get_schema",
-			Description: "Return the schema (DDL) of every table in the database.",
-			Handler: func(ctx context.Context, args map[string]any) (any, error) {
-				return t.schemaDump(), nil
-			},
-		})
-	}
-	t.reg.Register(&mcp.Tool{
-		Name:        "execute_sql",
-		Description: "Execute an arbitrary SQL statement and return its result.",
-		InputSchema: map[string]any{
+// The baseline's two tools as a client is shown them.
+var (
+	getSchemaTool  = mcp.NewTool("get_schema", "Return the schema (DDL) of every table in the database.", nil)
+	executeSQLTool = mcp.NewTool("execute_sql", "Execute an arbitrary SQL statement and return its result.",
+		map[string]any{
 			"type": "object",
 			"properties": map[string]any{
 				"sql": map[string]any{"type": "string"},
 			},
 			"required": []any{"sql"},
-		},
-		Handler: func(ctx context.Context, args map[string]any) (any, error) {
-			sql, _ := args["sql"].(string)
-			if strings.TrimSpace(sql) == "" {
-				return nil, fmt.Errorf("execute_sql: missing required argument \"sql\"")
-			}
-			// Catalog introspection queries (information_schema) are served
-			// from the catalog, as PostgreSQL itself would.
-			if strings.Contains(strings.ToLower(sql), "information_schema") {
-				return t.schemaDump(), nil
-			}
-			res, err := t.conn.Exec(sql)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		},
-	})
+		})
+)
+
+// New builds the baseline toolkit.
+func New(conn core.Conn, opts Options) *Toolkit {
+	t := &Toolkit{conn: conn, reg: mcp.NewRegistry()}
+	if opts.WithSchemaTool {
+		t.reg.Register(getSchemaTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+			return t.schemaDump(), nil
+		}))
+	}
+	t.reg.Register(executeSQLTool.Bind(func(ctx context.Context, args map[string]any) (any, error) {
+		sql, _ := args["sql"].(string)
+		if strings.TrimSpace(sql) == "" {
+			return nil, fmt.Errorf("execute_sql: missing required argument \"sql\"")
+		}
+		// Catalog introspection queries (information_schema) are served
+		// from the catalog, as PostgreSQL itself would.
+		if strings.Contains(strings.ToLower(sql), "information_schema") {
+			return t.schemaDump(), nil
+		}
+		res, err := t.conn.Exec(sql)
+		if err != nil {
+			return nil, err
+		}
+		return res, nil
+	}))
 	return t
 }
 

@@ -634,6 +634,9 @@ type Engine struct {
 	// the engine lock.
 	catalogVersion atomic.Uint64
 	plans          *planCache
+	// ddl remembers rendered object definitions for one catalog version
+	// (see ObjectDDL).
+	ddl ddlMemo
 
 	// dmlRowsVisited counts rows the write path inspected while matching
 	// UPDATE/DELETE targets; the gap between an index path (bucket-sized)
@@ -1004,6 +1007,47 @@ func SchemaSQL(t *Table) string {
 	}
 	sb.WriteString(");")
 	return sb.String()
+}
+
+// ddlMemo holds the DDL text of the objects rendered since the catalog last
+// changed. Its mutex is taken under the engine's read lock and guards
+// nothing else.
+type ddlMemo struct {
+	mu      sync.Mutex
+	version uint64
+	text    map[string]string // lower-case object name -> DDL
+}
+
+// ObjectDDL returns the definition of a table (SchemaSQL) or view (ViewSQL)
+// by case-insensitive name. Every toolkit on the engine asks for the same
+// text on every get_schema, so it is rendered once per catalog version:
+// anything that changes a definition — DDL, and ROLLBACK undoing DDL —
+// advances the version under the engine's write lock, and the version is
+// read and the catalog rendered under its read lock, so remembered text is
+// never older than the catalog. (Grant changes advance it too; they only
+// cost a re-render.)
+func (e *Engine) ObjectDDL(name string) (string, bool) {
+	lo := strings.ToLower(name)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	m := &e.ddl
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v := e.catalogVersion.Load(); v != m.version || m.text == nil {
+		m.version, m.text = v, map[string]string{}
+	}
+	text, ok := m.text[lo]
+	if !ok {
+		if t, isTable := e.tables[lo]; isTable {
+			text = SchemaSQL(t)
+		} else if v, isView := e.views[lo]; isView {
+			text = ViewSQL(v)
+		} else {
+			return "", false
+		}
+		m.text[lo] = text
+	}
+	return text, true
 }
 
 // ColumnValues returns the distinct values of a column in the latest

@@ -406,3 +406,75 @@ func TestSharedStmtConcurrentExec(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestObjectDDLConcurrentWithDDL reads remembered definitions from several
+// goroutines while another changes the catalog (ADD COLUMN, DROP and
+// re-CREATE, a rolled-back DROP) and a fourth changes grants, which moves the
+// catalog version without the engine lock. A reader must never see a
+// definition older than one it has already seen grow, and once the writers
+// stop every object reads as a fresh render. Run with -race.
+func TestObjectDDLConcurrentWithDDL(t *testing.T) {
+	e := NewEngine("ddl")
+	root := e.NewSession("root")
+	root.MustExec(`CREATE TABLE wide (id INT PRIMARY KEY)`)
+	root.MustExec(`CREATE TABLE flip (id INT PRIMARY KEY)`)
+	root.MustExec(`CREATE VIEW v AS SELECT id FROM wide`)
+
+	const columns = 40
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			longest := 0
+			for !stop.Load() {
+				ddl, ok := e.ObjectDDL("WIDE")
+				if !ok {
+					t.Error("wide disappeared")
+					return
+				}
+				if len(ddl) < longest {
+					t.Errorf("definition went back in time:\n%s", ddl)
+					return
+				}
+				longest = len(ddl)
+				e.ObjectDDL("flip")
+				e.ObjectDDL("v")
+				e.ObjectDDL("missing")
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			e.Grants().Grant("u", ActionSelect, "wide")
+			e.Grants().Revoke("u", ActionSelect, "wide")
+		}
+	}()
+	for i := 0; i < columns; i++ {
+		root.MustExec(fmt.Sprintf(`ALTER TABLE wide ADD COLUMN c%d INT`, i))
+		root.MustExec(`DROP TABLE flip`)
+		root.MustExec(fmt.Sprintf(`CREATE TABLE flip (id INT PRIMARY KEY, gen%d TEXT)`, i))
+		root.MustExec(`BEGIN`)
+		root.MustExec(`DROP TABLE flip`)
+		root.MustExec(`ROLLBACK`)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	for _, name := range []string{"wide", "flip"} {
+		tab, _ := e.Table(name)
+		if got, _ := e.ObjectDDL(name); got != SchemaSQL(tab) {
+			t.Errorf("%s: remembered definition is stale:\n%s\nfresh:\n%s", name, got, SchemaSQL(tab))
+		}
+	}
+	view, _ := e.ViewByName("v")
+	if got, _ := e.ObjectDDL("v"); got != ViewSQL(view) {
+		t.Errorf("view definition: %s", got)
+	}
+	if _, ok := e.ObjectDDL("missing"); ok {
+		t.Error("an object that does not exist has a definition")
+	}
+}

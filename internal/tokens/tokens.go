@@ -11,7 +11,34 @@ package tokens
 import (
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
+
+// What a rune adds to the word count.
+const (
+	inWord = 1 << iota // not white space: the first of a run starts a word
+	split              // punctuation or symbol: usually a token of its own
+)
+
+// asciiClass holds classify for the runes below utf8.RuneSelf, which is
+// nearly all Count ever sees: prompts, JSON and SQL.
+var asciiClass [utf8.RuneSelf]uint8
+
+func init() {
+	for r := range asciiClass {
+		asciiClass[r] = classify(rune(r))
+	}
+}
+
+func classify(r rune) uint8 {
+	switch {
+	case unicode.IsSpace(r):
+		return 0
+	case unicode.IsPunct(r) || unicode.IsSymbol(r):
+		return inWord | split
+	}
+	return inWord
+}
 
 // Count estimates the number of LLM tokens in s. The estimate is
 // max(words*4/3, chars/4): prose tokenizes near 0.75 words/token and dense
@@ -21,20 +48,14 @@ func Count(s string) int {
 		return 0
 	}
 	words := 0
-	inWord := false
+	var prev uint8 // class of the rune before
 	for _, r := range s {
-		if unicode.IsSpace(r) {
-			inWord = false
-			continue
+		class := asciiClass[r&(utf8.RuneSelf-1)]
+		if r >= utf8.RuneSelf {
+			class = classify(r)
 		}
-		if !inWord {
-			words++
-			inWord = true
-		}
-		// Punctuation usually splits into its own token.
-		if unicode.IsPunct(r) || unicode.IsSymbol(r) {
-			words++
-		}
+		words += int(class&^prev&inWord + class/split) // a word's first rune; a split rune once more
+		prev = class
 	}
 	byWords := words * 4 / 3
 	byChars := len(s) / 4
