@@ -1,7 +1,7 @@
 GO ?= go
 SQLVET := $(CURDIR)/bin/sqlvet
 
-.PHONY: all build test race lint vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench benchmark-check loc clean
+.PHONY: all build test race lint vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench benchmark-check loc clean $(SQLVET)
 
 all: build lint test
 
@@ -24,7 +24,10 @@ lint: vet sqlvet
 vet:
 	$(GO) vet ./...
 
-$(SQLVET): $(shell find cmd/sqlvet internal/analysis -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
+# Rebuilt on every run (phony): a binary newer than its sources may still
+# have been built from other sources, and the build cache keeps an
+# unchanged rebuild cheap.
+$(SQLVET):
 	@mkdir -p $(dir $(SQLVET))
 	$(GO) build -o $(SQLVET) ./cmd/sqlvet
 
@@ -50,7 +53,7 @@ vulncheck:
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "govulncheck not installed; skipping (CI pins golang.org/x/vuln@v1.1.4)"
 
 bench:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/sqldb
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/sqldb ./internal/sqldb/vfs
 	$(GO) test -run '^$$' -bench 'BenchmarkProxyTwoProducers|BenchmarkTransformMatrix|BenchmarkSelectToolOverhead|BenchmarkListTools|BenchmarkNewToolkit|BenchmarkAgentStaticPrefix' -benchtime=1x ./internal/core ./internal/agent
 
 # benchmark/ is a module of its own, so build, vet and test above do not see

@@ -3,42 +3,34 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig5a|fig5b|fig5c|fig6|table1|table2|ideal|ablations|engine|faults|stats] [-seed N] [-sample N]
+//	benchrunner [-exp all|fig5a|fig5b|fig5c|fig6|table1|table2|ideal|ablations] [-seed N] [-sample N]
 //
 // -sample runs every Nth task for a faster pass; the defaults reproduce the
 // full benchmark.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"testing"
-	"time"
 
 	"bridgescope/internal/experiments"
-	"bridgescope/internal/sqldb"
-	"bridgescope/internal/sqldb/stats"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig5a, fig5b, fig5c, fig6, table1, table2, ideal, ablations, engine, faults, stats")
+	exp := flag.String("exp", "all", "experiment to run: all, fig5a, fig5b, fig5c, fig6, table1, table2, ideal, ablations")
 	seed := flag.Int64("seed", 42, "benchmark and behaviour seed")
 	sample := flag.Int("sample", 1, "run every Nth task (1 = all)")
-	rows := flag.Int("housing-rows", 0, "override NL2ML full-table size (0 = 20000)")
 	flag.Parse()
 
-	cfg := experiments.Config{Seed: *seed, Sample: *sample, HousingRows: *rows}
+	cfg := experiments.Config{Seed: *seed, Sample: *sample}
+	ran := false
 	run := func(name string, fn func(experiments.Config) error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		if err := fn(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
@@ -53,9 +45,10 @@ func main() {
 	run("table2", printTable2)
 	run("ideal", printIdeal)
 	run("ablations", printAblations)
-	run("engine", func(experiments.Config) error { return printEngine() })
-	run("faults", func(c experiments.Config) error { return printFaults(c.Seed) })
-	run("stats", func(experiments.Config) error { return printStats() })
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 }
 
 func header(title string) {
@@ -185,613 +178,6 @@ func printIdeal(cfg experiments.Config) error {
 	fmt.Printf("idealized agent (2 transfers): >= %d tokens\n", r.IdealizedAgentTokens)
 	fmt.Printf("BridgeScope measured average:  %.1f tokens\n", r.BridgeScopeTokens)
 	fmt.Printf("ratio:                         %.0fx\n", r.Ratio)
-	return nil
-}
-
-// printEngine measures the embedded engine's query path directly: full scan
-// vs index scan (equality) vs index range scan (the ordered face), Top-K
-// ORDER BY/LIMIT fusion, single-session vs parallel sessions (the shared
-// read lock), the planned write path (UPDATE/DELETE access-path selection),
-// the plan cache, and — new with the durability subsystem — commit
-// throughput across WAL sync modes (group commit vs fsync-per-commit vs
-// no-fsync vs in-memory). `go test -bench . ./internal/sqldb` runs the full
-// suite. Results are also written to BENCH_PR4.json so the perf trajectory
-// is recorded per run.
-func printEngine() error {
-	header("Engine — access paths, ordered indexes, Top-K, plan cache")
-
-	setup := func(rows int, withIndex bool) (*sqldb.Engine, *sqldb.Session) {
-		e := sqldb.NewEngine("bench")
-		s := e.NewSession("root")
-		s.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, grp INT, val REAL)`)
-		if withIndex {
-			s.MustExec(`CREATE INDEX idx_grp ON t (grp)`)
-		}
-		for i := 0; i < rows; i += 500 {
-			batch := ""
-			for j := i; j < i+500 && j < rows; j++ {
-				if batch != "" {
-					batch += ", "
-				}
-				batch += fmt.Sprintf("(%d, %d, %f)", j, j%50, float64(j))
-			}
-			s.MustExec("INSERT INTO t VALUES " + batch)
-		}
-		return e, s
-	}
-	const rows = 5000
-	const writeRows = 10000
-	const query = "SELECT COUNT(*) FROM t WHERE grp = 7"
-	const rangeQuery = "SELECT COUNT(*) FROM t WHERE grp BETWEEN 3 AND 7"
-	const topkQuery = "SELECT id, val FROM t ORDER BY id DESC LIMIT 10"
-	const orderedQuery = "SELECT id FROM t ORDER BY grp"
-
-	type benchOut struct {
-		Name    string  `json:"name"`
-		Ops     int     `json:"ops"`
-		NsPerOp float64 `json:"ns_per_op"`
-	}
-	var results []benchOut
-	report := func(name string, r testing.BenchmarkResult) {
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		fmt.Printf("%-28s %10d ops %12.0f ns/op\n", name, r.N, ns)
-		results = append(results, benchOut{Name: name, Ops: r.N, NsPerOp: ns})
-	}
-
-	_, scan := setup(rows, false)
-	report("SelectFullScan", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scan.MustExec(query)
-		}
-	}))
-
-	eIdx, idx := setup(rows, true)
-	report("SelectIndexed", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.MustExec(query)
-		}
-	}))
-
-	report("ParallelSelect", testing.Benchmark(func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			s := eIdx.NewSession("root")
-			for pb.Next() {
-				s.MustExec(query)
-			}
-		})
-	}))
-
-	// Range predicates on a 10k-row table: the unindexed baseline walks
-	// every row, the ordered index visits only the in-range ones. The >=10x
-	// gap is PR 3's acceptance criterion.
-	_, rscan := setup(writeRows, false)
-	report("SelectRangeScan", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rscan.MustExec(rangeQuery)
-		}
-	}))
-	eRange, ridx := setup(writeRows, true)
-	report("SelectRangeIndexed", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ridx.MustExec(rangeQuery)
-		}
-	}))
-
-	// ORDER BY/LIMIT: Top-K fuses the sort and the limit into the ordered
-	// scan (10 rows visited on the 10k-row table); the ordered full scan
-	// skips only the sort stage.
-	report("TopKLimit", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ridx.MustExec(topkQuery)
-		}
-	}))
-	report("OrderByIndexed", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ridx.MustExec(orderedQuery)
-		}
-	}))
-
-	// Rows visited by the read path, per query shape.
-	scanBefore := eRange.ScanRowsVisited()
-	ridx.MustExec(rangeQuery)
-	rangeVisited := eRange.ScanRowsVisited() - scanBefore
-	scanBefore = eRange.ScanRowsVisited()
-	ridx.MustExec(topkQuery)
-	topkVisited := eRange.ScanRowsVisited() - scanBefore
-	fmt.Printf("\nrows visited on the %d-row table: BETWEEN via ordered index %d, ORDER BY ... LIMIT 10 via Top-K %d\n",
-		writeRows, rangeVisited, topkVisited)
-
-	// Write path: planned UPDATE/DELETE. A PK point update touches one row;
-	// the non-indexed predicate falls back to the full scan, so the rows-
-	// visited gap below is the planner's doing.
-	eW, w := setup(writeRows, true)
-	report("UpdateByPK", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w.MustExec(fmt.Sprintf("UPDATE t SET val = val + 1 WHERE id = %d", i%writeRows))
-		}
-	}))
-	report("DeleteIndexed", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 77, 0.0)", writeRows+i))
-			w.MustExec("DELETE FROM t WHERE grp = 77")
-		}
-	}))
-
-	before := eW.DMLRowsVisited()
-	w.MustExec("UPDATE t SET val = val + 1 WHERE id = 5")
-	pkVisited := eW.DMLRowsVisited() - before
-	before = eW.DMLRowsVisited()
-	w.MustExec("UPDATE t SET val = val + 1 WHERE val < -1000000")
-	fullVisited := eW.DMLRowsVisited() - before
-	fmt.Printf("\nrows visited per UPDATE on a %d-row table: by PK %d, non-indexed %d (%.0fx reduction)\n",
-		writeRows, pkVisited, fullVisited, float64(fullVisited)/float64(pkVisited))
-
-	// Plan cache: a fixed statement is served from the cache after its first
-	// execution; varying the SQL text defeats the cache and re-plans.
-	const hot = "SELECT val FROM t WHERE id = 42"
-	w.MustExec(hot)
-	report("PlanCacheHit", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w.MustExec(hot)
-		}
-	}))
-	report("PlanCacheCold", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w.MustExec(fmt.Sprintf("SELECT val FROM t WHERE id = %d", i%writeRows))
-		}
-	}))
-	hits, misses := eW.PlanCacheStats()
-
-	plan, err := eIdx.NewSession("root").Plan(query)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nchosen plan for the indexed query:")
-	fmt.Println(plan.Explain())
-
-	rplan, err := eRange.NewSession("root").Plan(rangeQuery)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nchosen plan for the range query (bounds act as the index condition):")
-	fmt.Println(rplan.Explain())
-
-	tplan, err := eRange.NewSession("root").Plan(topkQuery)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nchosen plan for the Top-K query (sort and limit fused into the scan):")
-	fmt.Println(tplan.Explain())
-
-	upd, err := eW.NewSession("root").Plan("UPDATE t SET val = 0 WHERE id = 5")
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nchosen plan for the PK update (the executor runs this exact access path):")
-	fmt.Println(upd.Explain())
-
-	// Durability: commit throughput per WAL sync mode. "always" is the
-	// single-fsync-per-commit baseline; "batch" is group commit under 16
-	// concurrent committers (each still waits for its group's fsync before
-	// the statement is acknowledged); "off" leaves flushing to the OS;
-	// "memory" is the WAL-free engine for reference.
-	fmt.Println()
-	header("Engine — durable commit throughput (WAL sync modes)")
-	openDurable := func(mode sqldb.SyncMode) (*sqldb.Engine, func(), error) {
-		dir, err := os.MkdirTemp("", "benchwal-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err := sqldb.OpenEngine(dir, sqldb.Options{Sync: mode, CheckpointEvery: -1})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, nil, err
-		}
-		e.NewSession("root").MustExec(`CREATE TABLE t (id INT PRIMARY KEY, val REAL)`)
-		return e, func() { e.Close(); os.RemoveAll(dir) }, nil
-	}
-
-	var alwaysNs, batchNs float64
-	commitSeq := func(name string, mode sqldb.SyncMode) error {
-		e, cleanup, err := openDurable(mode)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		s := e.NewSession("root")
-		var id atomic.Int64
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0)", id.Add(1)))
-			}
-		})
-		report(name, r)
-		if mode == sqldb.SyncAlways {
-			alwaysNs = results[len(results)-1].NsPerOp
-		}
-		return nil
-	}
-	if err := commitSeq("CommitDurableAlways", sqldb.SyncAlways); err != nil {
-		return err
-	}
-
-	// Group commit: 16 committing goroutines regardless of GOMAXPROCS.
-	eBatch, cleanupBatch, err := openDurable(sqldb.SyncBatch)
-	if err != nil {
-		return err
-	}
-	var batchID atomic.Int64
-	rBatch := testing.Benchmark(func(b *testing.B) {
-		// ~16 goroutines regardless of GOMAXPROCS (RunParallel spawns
-		// p*GOMAXPROCS workers).
-		b.SetParallelism(max(1, (16+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0)))
-		b.RunParallel(func(pb *testing.PB) {
-			s := eBatch.NewSession("root")
-			for pb.Next() {
-				s.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0)", batchID.Add(1)))
-			}
-		})
-	})
-	report("CommitDurableBatch16", rBatch)
-	batchNs = results[len(results)-1].NsPerOp
-	batchStats := eBatch.Durability()
-	cleanupBatch()
-
-	if err := commitSeq("CommitDurableOff", sqldb.SyncOff); err != nil {
-		return err
-	}
-	eMem := sqldb.NewEngine("mem")
-	sMem := eMem.NewSession("root")
-	sMem.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, val REAL)`)
-	var memID atomic.Int64
-	report("CommitMemory", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sMem.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0)", memID.Add(1)))
-		}
-	}))
-
-	speedup := alwaysNs / batchNs
-	groupSize := 0.0
-	if batchStats.GroupFlushes > 0 {
-		groupSize = float64(batchStats.Commits) / float64(batchStats.GroupFlushes)
-	}
-	fmt.Printf("\ngroup commit: %.1fx the throughput of fsync-per-commit (%.1f commits per fsync, %d commits / %d fsyncs)\n",
-		speedup, groupSize, batchStats.Commits, batchStats.Fsyncs)
-
-	out := struct {
-		Experiment            string     `json:"experiment"`
-		WriteTableRows        int        `json:"write_table_rows"`
-		Benchmarks            []benchOut `json:"benchmarks"`
-		RangeScanRowsVisited  int64      `json:"range_scan_rows_visited"`
-		TopKRowsVisited       int64      `json:"topk_rows_visited"`
-		UpdateByPKRowsVisited int64      `json:"update_by_pk_rows_visited"`
-		FullScanRowsVisited   int64      `json:"full_scan_update_rows_visited"`
-		PlanCacheHits         int64      `json:"plan_cache_hits"`
-		PlanCacheMisses       int64      `json:"plan_cache_misses"`
-		GroupCommitSpeedup    float64    `json:"group_commit_speedup_vs_always"`
-		GroupCommitBatchSize  float64    `json:"group_commit_avg_batch_size"`
-		GroupCommitCommits    int64      `json:"group_commit_commits"`
-		GroupCommitFsyncs     int64      `json:"group_commit_fsyncs"`
-	}{
-		Experiment:            "engine",
-		WriteTableRows:        writeRows,
-		Benchmarks:            results,
-		RangeScanRowsVisited:  rangeVisited,
-		TopKRowsVisited:       topkVisited,
-		UpdateByPKRowsVisited: pkVisited,
-		FullScanRowsVisited:   fullVisited,
-		PlanCacheHits:         hits,
-		PlanCacheMisses:       misses,
-		GroupCommitSpeedup:    speedup,
-		GroupCommitBatchSize:  groupSize,
-		GroupCommitCommits:    batchStats.Commits,
-		GroupCommitFsyncs:     batchStats.Fsyncs,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_PR4.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("\nwrote BENCH_PR4.json")
-	return printEngineMVCC()
-}
-
-// printEngineMVCC measures the MVCC concurrency properties added with
-// snapshot isolation: reader throughput while a writer continuously commits
-// full-table UPDATEs (before MVCC readers serialized behind the exclusive
-// per-statement lock; now writers take it only per version installed), the
-// writer's own statement cost for scale, and the write-write conflict
-// retry loop (first-committer-wins) with its conflict rate. Results land in
-// BENCH_PR5.json.
-func printEngineMVCC() error {
-	header("Engine — MVCC: non-blocking readers + write-conflict rate")
-
-	const rows = 5000
-	e := sqldb.NewEngine("mvcc")
-	s := e.NewSession("root")
-	s.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, grp INT, val REAL)`)
-	s.MustExec(`CREATE INDEX idx_grp ON t (grp)`)
-	for i := 0; i < rows; i += 500 {
-		batch := ""
-		for j := i; j < i+500 && j < rows; j++ {
-			if batch != "" {
-				batch += ", "
-			}
-			batch += fmt.Sprintf("(%d, %d, %f)", j, j%50, float64(j))
-		}
-		s.MustExec("INSERT INTO t VALUES " + batch)
-	}
-
-	type benchOut struct {
-		Name    string  `json:"name"`
-		Ops     int     `json:"ops"`
-		NsPerOp float64 `json:"ns_per_op"`
-	}
-	var results []benchOut
-	report := func(name string, r testing.BenchmarkResult) float64 {
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		fmt.Printf("%-28s %10d ops %12.0f ns/op\n", name, r.N, ns)
-		results = append(results, benchOut{Name: name, Ops: r.N, NsPerOp: ns})
-		return ns
-	}
-
-	const readQuery = "SELECT COUNT(*) FROM t WHERE grp = 7"
-	parallelRead := func() testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				rs := e.NewSession("root")
-				for pb.Next() {
-					rs.MustExec(readQuery)
-				}
-			})
-		})
-	}
-
-	readerOnlyNs := report("ReadersNoWriter", parallelRead())
-
-	// The writer's full-table UPDATE for scale: before MVCC this entire
-	// duration blocked every reader, per statement.
-	writerNs := report("WriterFullTableUpdate", testing.Benchmark(func(b *testing.B) {
-		w := e.NewSession("root")
-		for i := 0; i < b.N; i++ {
-			w.MustExec("UPDATE t SET val = val + 1 WHERE grp >= 0")
-		}
-	}))
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		w := e.NewSession("root")
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				w.MustExec("UPDATE t SET val = val + 1 WHERE grp >= 0")
-			}
-		}
-	}()
-	readerUnderWriterNs := report("ReadersWithWriter", parallelRead())
-	close(stop)
-	<-done
-
-	slowdown := readerUnderWriterNs / readerOnlyNs
-	fmt.Printf("\nreader slowdown under a continuous full-table writer: %.2fx (writer statement itself: %.1fms — the old exclusive-lock stall per statement)\n",
-		slowdown, writerNs/1e6)
-
-	// Write-write conflicts: concurrent increments of one row with the
-	// documented ROLLBACK-and-retry loop.
-	ec := sqldb.NewEngine("conflict")
-	sc := ec.NewSession("root")
-	sc.MustExec(`CREATE TABLE c (id INT PRIMARY KEY, n INT)`)
-	sc.MustExec(`INSERT INTO c VALUES (1, 0)`)
-	var attempts atomic.Int64
-	conflictNs := report("ConflictRetryIncrement", testing.Benchmark(func(b *testing.B) {
-		b.SetParallelism(max(1, (4+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0)))
-		b.RunParallel(func(pb *testing.PB) {
-			w := ec.NewSession("root")
-			for pb.Next() {
-				for {
-					ok := true
-					attempts.Add(1)
-					for _, q := range []string{"BEGIN", "UPDATE c SET n = n + 1 WHERE id = 1", "COMMIT"} {
-						if _, err := w.Exec(q); err != nil {
-							if !sqldb.IsRetryable(err) {
-								b.Fatalf("%s: %v", q, err)
-							}
-							w.MustExec("ROLLBACK")
-							ok = false
-							break
-						}
-					}
-					if ok {
-						break
-					}
-				}
-			}
-		})
-	}))
-	conflicts := ec.WriteConflicts()
-	rate := 0.0
-	if a := attempts.Load(); a > 0 {
-		rate = float64(conflicts) / float64(a)
-	}
-	fmt.Printf("\nconflict rate on a single hot row: %.1f%% of attempts aborted retryably (%d conflicts, %.0f ns per committed increment)\n",
-		rate*100, conflicts, conflictNs)
-
-	out := struct {
-		Experiment        string     `json:"experiment"`
-		TableRows         int        `json:"table_rows"`
-		Benchmarks        []benchOut `json:"benchmarks"`
-		ReaderSlowdown    float64    `json:"reader_slowdown_under_writer"`
-		WriterStatementNs float64    `json:"writer_statement_ns"`
-		ConflictRate      float64    `json:"conflict_rate"`
-		Conflicts         int64      `json:"conflicts"`
-		ConflictAttempts  int64      `json:"conflict_attempts"`
-	}{
-		Experiment:        "engine-mvcc",
-		TableRows:         rows,
-		Benchmarks:        results,
-		ReaderSlowdown:    slowdown,
-		WriterStatementNs: writerNs,
-		ConflictRate:      rate,
-		Conflicts:         conflicts,
-		ConflictAttempts:  attempts.Load(),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_PR5.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("\nwrote BENCH_PR5.json")
-	return nil
-}
-
-// printStats measures the observability layer's cost on the engine's three
-// hottest paths — sequential scan, group-committed durable inserts, and
-// plan-cache hits — each benchmarked with metric recording on (the default)
-// and off (stats.SetEnabled(false)). Every histogram Observe is a couple of
-// atomic adds, so the budget is tight: the PR 9 acceptance criterion is
-// <=3% overhead per path. Each configuration takes the best of three runs
-// to keep scheduler noise out of the comparison. Results land in
-// BENCH_PR9.json.
-func printStats() error {
-	header("Engine — metrics overhead (recording enabled vs disabled)")
-	defer stats.SetEnabled(true)
-
-	type statsBench struct {
-		Name        string  `json:"name"`
-		EnabledNs   float64 `json:"enabled_ns_per_op"`
-		DisabledNs  float64 `json:"disabled_ns_per_op"`
-		OverheadPct float64 `json:"overhead_pct"`
-	}
-	var results []statsBench
-
-	// The recording cost per operation is a few atomic adds — far below the
-	// run-to-run variance of whole testing.Benchmark invocations on a shared
-	// machine. So each bench runs as many short enabled/disabled block
-	// *pairs*, adjacent in time and alternating which goes first, and the
-	// reported overhead is the median of the pairwise ratios: pairing
-	// cancels slow drift (thermal, background load, growing benchmark
-	// state), alternation cancels within-pair order bias, and the median
-	// shrugs off preemption and GC outliers.
-	median := func(xs []float64) float64 {
-		sort.Float64s(xs)
-		return xs[len(xs)/2]
-	}
-	measure := func(name string, pairs, opsPerBlock int, block func(n int)) {
-		block(opsPerBlock) // warm-up
-		var onNs, offNs, ratios []float64
-		for p := 0; p < pairs; p++ {
-			var on, off float64
-			for half := 0; half < 2; half++ {
-				enabled := (p+half)%2 == 0
-				stats.SetEnabled(enabled)
-				start := time.Now()
-				block(opsPerBlock)
-				ns := float64(time.Since(start).Nanoseconds()) / float64(opsPerBlock)
-				if enabled {
-					on = ns
-				} else {
-					off = ns
-				}
-			}
-			onNs = append(onNs, on)
-			offNs = append(offNs, off)
-			ratios = append(ratios, on/off)
-		}
-		stats.SetEnabled(true)
-		on, off := median(onNs), median(offNs)
-		pct := (median(ratios) - 1) * 100
-		fmt.Printf("%-24s enabled %10.0f ns/op   disabled %10.0f ns/op   overhead %+.1f%%\n",
-			name, on, off, pct)
-		results = append(results, statsBench{Name: name, EnabledNs: on, DisabledNs: off, OverheadPct: pct})
-	}
-
-	// Sequential scan: the per-row hot loop plus one statement-latency
-	// observation at the end.
-	const rows = 5000
-	e := sqldb.NewEngine("statsbench")
-	s := e.NewSession("root")
-	s.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, grp INT, val REAL)`)
-	for i := 0; i < rows; i += 500 {
-		batch := ""
-		for j := i; j < i+500 && j < rows; j++ {
-			if batch != "" {
-				batch += ", "
-			}
-			batch += fmt.Sprintf("(%d, %d, %f)", j, j%50, float64(j))
-		}
-		s.MustExec("INSERT INTO t VALUES " + batch)
-	}
-	measure("SeqScan", 300, 8, func(n int) {
-		for i := 0; i < n; i++ {
-			s.MustExec("SELECT COUNT(*) FROM t WHERE grp = 7")
-		}
-	})
-
-	// Plan-cache hit: the shortest full statement path — the latency
-	// observation is the largest relative cost here.
-	const hot = "SELECT val FROM t WHERE id = 42"
-	s.MustExec(hot)
-	measure("PlanCacheHit", 400, 2000, func(n int) {
-		for i := 0; i < n; i++ {
-			s.MustExec(hot)
-		}
-	})
-
-	// Group-committed durable inserts: adds the WAL append/fsync/batch-size
-	// observations inside the flusher.
-	dir, err := os.MkdirTemp("", "statsbench-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	eD, err := sqldb.OpenEngine(dir, sqldb.Options{Sync: sqldb.SyncBatch, CheckpointEvery: -1})
-	if err != nil {
-		return err
-	}
-	defer eD.Close()
-	eD.NewSession("root").MustExec(`CREATE TABLE t (id INT PRIMARY KEY, val REAL)`)
-	var id atomic.Int64
-	const committers = 16
-	sessions := make([]*sqldb.Session, committers)
-	for i := range sessions {
-		sessions[i] = eD.NewSession("root")
-	}
-	measure("CommitDurableBatch16", 300, 1024, func(n int) {
-		var wg sync.WaitGroup
-		per := n / committers
-		for g := 0; g < committers; g++ {
-			wg.Add(1)
-			go func(sd *sqldb.Session) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					sd.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0)", id.Add(1)))
-				}
-			}(sessions[g])
-		}
-		wg.Wait()
-	})
-
-	out := struct {
-		Experiment string       `json:"experiment"`
-		Budget     float64      `json:"overhead_budget_pct"`
-		Benchmarks []statsBench `json:"benchmarks"`
-	}{Experiment: "stats-overhead", Budget: 3.0, Benchmarks: results}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_PR9.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("\nwrote BENCH_PR9.json")
 	return nil
 }
 

@@ -10,6 +10,7 @@
 // implemented here with the standard library only.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The root bench_test.go
-// regenerates every table and figure of the paper's evaluation.
+// EXPERIMENTS.md for paper-vs-measured results. cmd/benchrunner regenerates
+// every table and figure of the paper's evaluation; internal/experiments
+// pins their counted cells in testdata/paper_golden.json.
 package bridgescope

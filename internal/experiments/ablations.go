@@ -134,7 +134,7 @@ func ablateSchemaThreshold(cfg Config) (AblationResult, error) {
 // ablateValueTopK compares get_value's top-k output against enumerating a
 // column's whole domain — the token saving §2.2 claims.
 func ablateValueTopK(cfg Config) (AblationResult, error) {
-	engine := housingEngine(cfg.Seed, cfg.housingRows())
+	engine := housingEngine(cfg.Seed, nl2ml.FullRows)
 	user := nl2ml.SetupUser(engine)
 	conn := core.NewSQLDBConn(engine, user)
 	tk := core.New(conn, core.Policy{})
@@ -176,7 +176,7 @@ func ablateProxyParallelism(cfg Config) (AblationResult, error) {
 		}
 	}
 	timeRun := func(parallel bool) (float64, error) {
-		engine := housingEngine(cfg.Seed, cfg.housingRows())
+		engine := housingEngine(cfg.Seed, nl2ml.FullRows)
 		user := nl2ml.SetupUser(engine)
 		conn := core.NewSQLDBConn(engine, user)
 		policy := core.Policy{DisableParallelProxy: !parallel}

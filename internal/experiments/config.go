@@ -1,7 +1,7 @@
 // Package experiments implements one runner per table and figure in the
-// paper's evaluation (§3), shared by cmd/benchrunner and the repository's
-// benchmark suite. Every runner returns structured results so callers can
-// render them as the paper's tables or assert on their shapes in tests.
+// paper's evaluation (§3), printed by cmd/benchrunner. Every runner returns
+// structured results so callers can render them as the paper's tables or
+// assert on their shapes and counted cells in tests.
 package experiments
 
 import (
@@ -30,9 +30,6 @@ type Config struct {
 	// Sample takes every Nth task (1 or 0 = all tasks). Tests use larger
 	// strides for speed; benchrunner uses 1.
 	Sample int
-	// HousingRows overrides the NL2ML full-table size (0 = the paper's
-	// 20,000). The reduced PG-MCP-S table always has 20 rows.
-	HousingRows int
 }
 
 func (c Config) sample() int {
@@ -40,13 +37,6 @@ func (c Config) sample() int {
 		return 1
 	}
 	return c.Sample
-}
-
-func (c Config) housingRows() int {
-	if c.HousingRows <= 0 {
-		return nl2ml.FullRows
-	}
-	return c.HousingRows
 }
 
 // Models returns the two simulated models of §3.1 for this seed.

@@ -273,7 +273,7 @@ type IdealizedResult struct {
 // IdealizedTransfer computes the idealized-agent lower bound against
 // BridgeScope's measured cost.
 func IdealizedTransfer(cfg Config) (*IdealizedResult, error) {
-	engine := housingEngine(cfg.Seed, cfg.housingRows())
+	engine := housingEngine(cfg.Seed, nl2ml.FullRows)
 	root := engine.NewSession("root")
 	res, err := root.Exec("SELECT " + joinCols() + " FROM house")
 	if err != nil {

@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bridgescope/internal/bench/birdext"
@@ -8,9 +13,76 @@ import (
 
 // The integration tests below run sampled versions of every experiment and
 // assert the paper's qualitative findings hold: they are the "shape checks"
-// EXPERIMENTS.md reports against.
+// EXPERIMENTS.md reports against. Each also pins its counted cells (LLM
+// calls, tokens, accuracy, trigger and completion ratios) against its
+// section of testdata/paper_golden.json, so a change that moves a number
+// the paper reports fails even when the shape still holds.
 
 func testCfg() Config { return Config{Seed: 42, Sample: 25} }
+
+var updatePaperGolden = flag.Bool("update-paper-golden", false,
+	"rewrite the running tests' sections of testdata/paper_golden.json")
+
+var paperGoldenPath = filepath.Join("testdata", "paper_golden.json")
+
+// checkPaperGolden compares rows, one experiment's counted results, with the
+// golden file's section of that name; under -update-paper-golden it
+// rewrites the section instead and leaves the others as they are.
+func checkPaperGolden(t *testing.T, section string, rows any) {
+	t.Helper()
+	got, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]json.RawMessage{}
+	data, err := os.ReadFile(paperGoldenPath)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatalf("%s: %v", paperGoldenPath, err)
+		}
+	case !*updatePaperGolden || !os.IsNotExist(err):
+		t.Fatal(err)
+	}
+	if *updatePaperGolden {
+		golden[section] = got
+		out, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(paperGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paperGoldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, ok := golden[section]
+	if !ok {
+		t.Fatalf("%s has no %q section; run with -update-paper-golden", paperGoldenPath, section)
+	}
+	var w, g any
+	if err := json.Unmarshal(want, &w); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(got, &g); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(w, g) {
+		return
+	}
+	wantRows, _ := w.([]any)
+	gotRows, _ := g.([]any)
+	if len(wantRows) == 0 || len(wantRows) != len(gotRows) {
+		t.Fatalf("%s section %q changed:\n got %v\nwant %v", paperGoldenPath, section, g, w)
+	}
+	for i := range wantRows {
+		if !reflect.DeepEqual(wantRows[i], gotRows[i]) {
+			t.Errorf("%s section %q row %d changed:\n got %v\nwant %v", paperGoldenPath, section, i, gotRows[i], wantRows[i])
+		}
+	}
+}
 
 func find5a(res []Fig5aResult, model string, kind ToolkitKind) Fig5aResult {
 	for _, r := range res {
@@ -29,6 +101,7 @@ func TestFig5aShape(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("want 4 result rows, got %d", len(res))
 	}
+	checkPaperGolden(t, "fig5a", res)
 	for _, model := range []string{"gpt-4o-sim", "claude-4-sim"} {
 		bs := find5a(res, model, BridgeScope)
 		minus := find5a(res, model, PGMCPMinus)
@@ -51,6 +124,7 @@ func TestFig5bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPaperGolden(t, "fig5b", res)
 	for _, r := range res {
 		if r.Accuracy < 0.6 {
 			t.Fatalf("%s/%s accuracy %.2f unreasonably low", r.Model, r.Toolkit, r.Accuracy)
@@ -84,6 +158,7 @@ func TestFig5cShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPaperGolden(t, "fig5c", res)
 	for _, r := range res {
 		switch r.Toolkit {
 		case BridgeScope:
@@ -103,6 +178,7 @@ func TestFig6Table1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPaperGolden(t, "fig6_table1", res)
 	byKey := map[string]CellResult{}
 	for _, r := range res {
 		byKey[r.Model+"|"+string(r.Toolkit)+"|"+r.Cell.String()] = r
@@ -153,6 +229,7 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPaperGolden(t, "table2", res)
 	byKey := map[string]Table2Result{}
 	for _, r := range res {
 		byKey[r.Model+"|"+string(r.Toolkit)] = r
@@ -189,6 +266,7 @@ func TestIdealizedTransferShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPaperGolden(t, "ideal", res)
 	if res.IdealizedAgentTokens < 1_000_000 {
 		t.Fatalf("idealized transfer %d tokens, expected >1M for the full table", res.IdealizedAgentTokens)
 	}
@@ -208,6 +286,14 @@ func TestAblationsShape(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("want 4 ablations, got %d", len(res))
 	}
+	// Wall-clock ablations vary run to run; only the counted ones are pinned.
+	var counted []AblationResult
+	for _, r := range res {
+		if r.Unit != "seconds" {
+			counted = append(counted, r)
+		}
+	}
+	checkPaperGolden(t, "ablations", counted)
 	for _, r := range res {
 		switch r.Name {
 		case "privilege annotations OFF":

@@ -77,7 +77,7 @@ func scoreBird(engine *sqldb.Engine, t *task.Task, met *agent.Metrics) bool {
 // tool server is attached to every toolkit, as in §3.4 ("we equip agents
 // with extra tools for data processing and machine learning").
 func runNL2MLTask(cfg Config, kind ToolkitKind, model llm.Model, t *task.Task) (*Outcome, error) {
-	rows := cfg.housingRows()
+	rows := nl2ml.FullRows
 	if kind == PGMCPSmall {
 		rows = nl2ml.SmallRows
 	}

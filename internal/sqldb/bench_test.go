@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"bridgescope/internal/sqldb/stats"
+	"bridgescope/internal/sqldb/vfs"
 )
 
 func benchEngine(b *testing.B, rows int, withIndex bool) (*Engine, *Session) {
@@ -314,13 +317,13 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	e, s := benchEngine(b, 5000, true)
 	const q = "SELECT name FROM t WHERE grp = 7 ORDER BY val DESC LIMIT 5"
 	s.MustExec(q) // warm the cache
-	h0, _ := e.PlanCacheStats()
+	h0 := e.PlanCacheSnapshot().Hits
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.MustExec(q)
 	}
 	b.StopTimer()
-	if h1, _ := e.PlanCacheStats(); h1-h0 != int64(b.N) {
+	if h1 := e.PlanCacheSnapshot().Hits; h1-h0 != int64(b.N) {
 		b.Fatalf("want %d cache hits, got %d", b.N, h1-h0)
 	}
 }
@@ -399,5 +402,101 @@ func BenchmarkCommitDurableOff(b *testing.B) {
 	s := e.NewSession("root")
 	for i := 0; i < b.N; i++ {
 		s.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0)", i))
+	}
+}
+
+// BenchmarkMetricsOverhead runs the engine's three hottest paths with metric
+// recording on (the default) and off (stats.SetEnabled(false)): a sequential
+// scan, a plan-cache hit, and durable inserts group-committed by 16
+// sessions. Recording costs a few atomic adds per operation, well below
+// run-to-run noise, so compare on against off over -count runs (benchstat)
+// rather than from a single pair.
+func BenchmarkMetricsOverhead(b *testing.B) {
+	defer stats.SetEnabled(true)
+	recording := func(b *testing.B, body func(b *testing.B)) {
+		for _, on := range []bool{true, false} {
+			name := "on"
+			if !on {
+				name = "off"
+			}
+			b.Run(name, func(b *testing.B) {
+				stats.SetEnabled(on)
+				body(b)
+			})
+		}
+	}
+	b.Run("SeqScan", func(b *testing.B) {
+		_, s := benchEngine(b, 5000, false)
+		recording(b, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.MustExec("SELECT COUNT(*) FROM t WHERE grp = 7")
+			}
+		})
+	})
+	b.Run("PlanCacheHit", func(b *testing.B) {
+		_, s := benchEngine(b, 5000, false)
+		const hot = "SELECT val FROM t WHERE id = 42"
+		s.MustExec(hot)
+		recording(b, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.MustExec(hot)
+			}
+		})
+	})
+	b.Run("CommitBatch16", func(b *testing.B) {
+		e := durableBenchEngine(b, SyncBatch)
+		var next atomic.Int64
+		recording(b, func(b *testing.B) {
+			b.SetParallelism(max(1, (16+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0)))
+			b.RunParallel(func(pb *testing.PB) {
+				s := e.NewSession("root")
+				for pb.Next() {
+					s.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0)", next.Add(1)))
+				}
+			})
+		})
+	})
+}
+
+// BenchmarkRecoveryReplay times crash recovery against the length of the WAL
+// tail. An engine commits one single-row insert per frame with checkpoints
+// off, and a process-kill crash image is taken before it closes; every
+// iteration reopens a fresh copy of that image (snapshot load plus replay of
+// the whole tail) and checks that every committed row survived.
+func BenchmarkRecoveryReplay(b *testing.B) {
+	for _, frames := range []int{500, 5000, 20000} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			fs := vfs.NewFaultFS()
+			e, err := OpenEngine("/db", Options{Sync: SyncOff, CheckpointEvery: -1, FS: fs})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := e.NewSession("root")
+			s.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, val REAL)`)
+			for i := 0; i < frames; i++ {
+				s.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1.0)", i))
+			}
+			img := fs.CrashImage(vfs.TearKill, 1)
+			_ = e.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Recovery truncates and sweeps what it opens, so each
+				// iteration gets its own copy of the wreckage.
+				b.StopTimer()
+				cp := img.CrashImage(vfs.TearKill, 1)
+				b.StartTimer()
+				re, err := OpenEngine("/db", Options{Sync: SyncOff, CheckpointEvery: -1, FS: cp})
+				if err != nil {
+					b.Fatalf("recovery with %d frames: %v", frames, err)
+				}
+				b.StopTimer()
+				if got := re.NewSession("root").MustExec("SELECT COUNT(*) FROM t").Rows[0][0].I; got != int64(frames) {
+					b.Fatalf("recovery with %d frames: %d rows survived", frames, got)
+				}
+				_ = re.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
 	}
 }

@@ -641,7 +641,7 @@ type Engine struct {
 	// dmlRowsVisited counts rows the write path inspected while matching
 	// UPDATE/DELETE targets; the gap between an index path (bucket-sized)
 	// and a full scan (table-sized) is asserted in tests and reported by
-	// benchrunner.
+	// the write benchmarks.
 	dmlRowsVisited atomic.Int64
 
 	// scanRowsVisited is the read-side counterpart: rows the SELECT path
@@ -810,12 +810,9 @@ func (e *Engine) bumpCatalog() { e.catalogVersion.Add(1) }
 // CatalogVersion returns the current catalog version counter.
 func (e *Engine) CatalogVersion() uint64 { return e.catalogVersion.Load() }
 
-// PlanCacheStats reports the engine's statement-cache counters: hits served
-// without re-parsing/planning, and misses (cold or invalidated lookups).
-func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.plans.stats() }
-
-// PlanCacheSnapshot reports the full plan-cache counters, including LRU
-// evictions and the number of currently cached plans.
+// PlanCacheSnapshot reports the engine's statement-cache counters: hits
+// served without re-parsing/planning, misses (cold or invalidated lookups),
+// LRU evictions, and the number of currently cached plans.
 func (e *Engine) PlanCacheSnapshot() stats.CacheStats { return e.plans.snapshot() }
 
 // DMLRowsVisited returns the cumulative count of rows inspected while

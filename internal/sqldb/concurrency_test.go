@@ -314,9 +314,8 @@ func TestConcurrentCachedSelectWithDML(t *testing.T) {
 	if n := root.MustExec("SELECT COUNT(*) FROM t WHERE grp = 4").Rows[0][0].I; n != want {
 		t.Fatalf("grp-4 rows = %d, want %d", n, want)
 	}
-	hits, misses := e.PlanCacheStats()
-	if hits == 0 {
-		t.Fatalf("expected cache hits under hot traffic (hits=%d misses=%d)", hits, misses)
+	if c := e.PlanCacheSnapshot(); c.Hits == 0 {
+		t.Fatalf("expected cache hits under hot traffic (hits=%d misses=%d)", c.Hits, c.Misses)
 	}
 }
 

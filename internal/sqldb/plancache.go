@@ -103,10 +103,6 @@ func (c *planCache) remove(user, sql string) {
 	}
 }
 
-func (c *planCache) stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
 // snapshot reports the full counter set plus the resident entry count.
 func (c *planCache) snapshot() stats.CacheStats {
 	c.mu.Lock()

@@ -22,16 +22,16 @@ func TestPlanCacheHitSkipsReplan(t *testing.T) {
 	e, s := cacheEngine(t)
 	const q = "SELECT COUNT(*) FROM t WHERE grp = 3"
 
-	h0, m0 := e.PlanCacheStats()
+	c0 := e.PlanCacheSnapshot()
 	first := s.MustExec(q)
 	second := s.MustExec(q)
 	third := s.MustExec(q)
-	h1, m1 := e.PlanCacheStats()
-	if m1-m0 != 1 {
-		t.Fatalf("misses grew by %d, want 1 (only the cold execution)", m1-m0)
+	c1 := e.PlanCacheSnapshot()
+	if c1.Misses-c0.Misses != 1 {
+		t.Fatalf("misses grew by %d, want 1 (only the cold execution)", c1.Misses-c0.Misses)
 	}
-	if h1-h0 != 2 {
-		t.Fatalf("hits grew by %d, want 2", h1-h0)
+	if c1.Hits-c0.Hits != 2 {
+		t.Fatalf("hits grew by %d, want 2", c1.Hits-c0.Hits)
 	}
 	for _, r := range []*Result{first, second, third} {
 		if r.Rows[0][0].I != 10 {
@@ -52,13 +52,13 @@ func TestPlanCacheHitSkipsReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, m2 := e.PlanCacheStats()
+	c2 := e.PlanCacheSnapshot()
 	if _, err := s.ExecStmt(stmt); err != nil {
 		t.Fatal(err)
 	}
-	h3, m3 := e.PlanCacheStats()
-	if h3 != h2 || m3 != m2 {
-		t.Fatalf("ExecStmt touched the cache: hits %d->%d misses %d->%d", h2, h3, m2, m3)
+	c3 := e.PlanCacheSnapshot()
+	if c3.Hits != c2.Hits || c3.Misses != c2.Misses {
+		t.Fatalf("ExecStmt touched the cache: hits %d->%d misses %d->%d", c2.Hits, c3.Hits, c2.Misses, c3.Misses)
 	}
 }
 
@@ -76,13 +76,13 @@ func TestPlanCacheInvalidationOnDDL(t *testing.T) {
 		t.Fatal("CREATE INDEX must bump the catalog version")
 	}
 
-	h0, m0 := e.PlanCacheStats()
+	c0 := e.PlanCacheSnapshot()
 	if r := s.MustExec(q); r.Rows[0][0].I != 10 {
 		t.Fatalf("post-DDL result wrong: %v", r.Rows[0][0])
 	}
-	h1, m1 := e.PlanCacheStats()
-	if h1 != h0 || m1-m0 != 1 {
-		t.Fatalf("stale entry must miss: hits %d->%d, misses %d->%d", h0, h1, m0, m1)
+	c1 := e.PlanCacheSnapshot()
+	if c1.Hits != c0.Hits || c1.Misses-c0.Misses != 1 {
+		t.Fatalf("stale entry must miss: hits %d->%d, misses %d->%d", c0.Hits, c1.Hits, c0.Misses, c1.Misses)
 	}
 	// The re-planned statement uses the new index.
 	p := mustPlan(t, s, q)
@@ -91,9 +91,8 @@ func TestPlanCacheInvalidationOnDDL(t *testing.T) {
 	}
 	// And the refreshed entry hits again.
 	s.MustExec(q)
-	h2, _ := e.PlanCacheStats()
-	if h2 != h1+1 {
-		t.Fatalf("refreshed entry did not hit (hits %d -> %d)", h1, h2)
+	if h2 := e.PlanCacheSnapshot().Hits; h2 != c1.Hits+1 {
+		t.Fatalf("refreshed entry did not hit (hits %d -> %d)", c1.Hits, h2)
 	}
 
 	// DROP TABLE invalidates too; the stale plan must not resurrect the

@@ -397,11 +397,11 @@ func TestRangePlanCache(t *testing.T) {
 
 	// Cold: no index, seq scan; second run is a cache hit.
 	want := s.MustExec(q).Rows[0][0].I
-	h0, _ := e.PlanCacheStats()
+	h0 := e.PlanCacheSnapshot().Hits
 	if got := s.MustExec(q).Rows[0][0].I; got != want {
 		t.Fatalf("cached seq result changed: %d vs %d", got, want)
 	}
-	if h1, _ := e.PlanCacheStats(); h1 != h0+1 {
+	if h1 := e.PlanCacheSnapshot().Hits; h1 != h0+1 {
 		t.Fatalf("expected a plan-cache hit, stats %d -> %d", h0, h1)
 	}
 

@@ -1,5 +1,5 @@
-// Package tokens provides the token-count approximation and accounting used
-// for every cost metric in the experiments (Table 1, Table 2, and the
+// Package tokens provides the token-count approximation used for every
+// cost metric in the experiments (Table 1, Table 2, and the
 // idealized-transfer estimate in §3.4 of the paper).
 //
 // Real GPT/Claude tokenizers are unavailable offline, so Count uses the
@@ -9,7 +9,6 @@
 package tokens
 
 import (
-	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -66,50 +65,4 @@ func Count(s string) int {
 		return 1
 	}
 	return byChars
-}
-
-// Meter accumulates prompt and completion token counts for one agent run.
-// It is safe for concurrent use.
-type Meter struct {
-	mu         sync.Mutex
-	prompt     int
-	completion int
-	calls      int
-}
-
-// AddCall records one LLM invocation with its prompt and completion sizes.
-func (m *Meter) AddCall(promptTokens, completionTokens int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.calls++
-	m.prompt += promptTokens
-	m.completion += completionTokens
-}
-
-// Calls returns the number of LLM invocations recorded.
-func (m *Meter) Calls() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.calls
-}
-
-// Prompt returns the accumulated prompt tokens.
-func (m *Meter) Prompt() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.prompt
-}
-
-// Completion returns the accumulated completion tokens.
-func (m *Meter) Completion() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.completion
-}
-
-// Total returns prompt + completion tokens.
-func (m *Meter) Total() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.prompt + m.completion
 }

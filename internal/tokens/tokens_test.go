@@ -52,34 +52,6 @@ func TestCountSuperadditiveProperty(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	var m Meter
-	m.AddCall(100, 10)
-	m.AddCall(200, 20)
-	if m.Calls() != 2 || m.Prompt() != 300 || m.Completion() != 30 || m.Total() != 330 {
-		t.Fatalf("meter wrong: %d %d %d %d", m.Calls(), m.Prompt(), m.Completion(), m.Total())
-	}
-}
-
-func TestMeterConcurrent(t *testing.T) {
-	var m Meter
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			for j := 0; j < 100; j++ {
-				m.AddCall(1, 1)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	if m.Calls() != 800 || m.Total() != 1600 {
-		t.Fatalf("concurrent meter lost updates: %d calls, %d total", m.Calls(), m.Total())
-	}
-}
-
 // countReference is Count as it was before ASCII was classified through a
 // table: three unicode predicate calls per rune. Count must agree with it on
 // every input.
