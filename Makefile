@@ -1,7 +1,7 @@
 GO ?= go
 SQLVET := $(CURDIR)/bin/sqlvet
 
-.PHONY: all build test race lint vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench benchmark-check loc clean $(SQLVET)
+.PHONY: all build test race lint gofmt-check vet sqlvet sqlvet-vettool sarif staticcheck vulncheck bench benchmark-check loc clean $(SQLVET)
 
 all: build lint test
 
@@ -14,12 +14,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint is the one entry point CI and developers share: the stock go vet
-# checks plus the repo's own invariant analyzers (cmd/sqlvet) in standalone
-# mode, gated by the checked-in baseline. The exit codes carry the verdict
-# (0 clean, 1 findings or stale baseline, 2 analysis failure) — no output
-# grepping anywhere.
-lint: vet sqlvet
+# lint is the one entry point CI and developers share: gofmt, the stock go
+# vet checks, plus the repo's own invariant analyzers (cmd/sqlvet) in
+# standalone mode, gated by the checked-in baseline. The vet and sqlvet exit
+# codes carry the verdict (0 clean, 1 findings or stale baseline, 2 analysis
+# failure) — no output grepping there.
+lint: gofmt-check vet sqlvet
+
+# gofmt -l exits 0 whatever it lists, so the check is that it lists nothing.
+gofmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -49,8 +49,7 @@ var forbidden = map[string]string{
 // allowedPkgs are package paths that own the seam or operate on user files
 // by design.
 var allowedPkgs = map[string]bool{
-	"bridgescope/cmd/benchrunner": true, // workload dirs and fault corpora are its product
-	"bridgescope/cmd/sqlvet":      true, // the .vetx fact cache is tool state, not database state
+	"bridgescope/cmd/sqlvet": true, // the .vetx fact cache is tool state, not database state
 }
 
 func run(pass *framework.Pass) error {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -206,6 +208,61 @@ func TestVerificationDisabledFallsThroughToEngine(t *testing.T) {
 	}
 	if !strings.Contains(res.Text, "permission denied") {
 		t.Fatalf("expected engine permission error, got %q", res.Text)
+	}
+}
+
+// TestVerificationCoversEveryExpressionSlot sends statements that read
+// secrets only from a subquery in SET, VALUES, ORDER BY, LIMIT, OFFSET,
+// JOIN ... ON or GROUP BY, and one that reads an ungranted column only in
+// JOIN ... ON. Each must be refused with a classified error: by the
+// toolkit's verification when it is on, by the engine when it is off.
+func TestVerificationCoversEveryExpressionSlot(t *testing.T) {
+	leaks := map[string]string{
+		"UPDATE items SET name = (SELECT payload FROM secrets WHERE id = 1) WHERE id = 1":                       "update",
+		"INSERT INTO items VALUES (9, (SELECT payload FROM secrets WHERE id = 1), 'x', 1.0)":                    "insert",
+		"SELECT id FROM items ORDER BY (SELECT COUNT(*) FROM secrets)":                                          "select",
+		"SELECT id FROM items LIMIT (SELECT COUNT(*) FROM secrets)":                                             "select",
+		"SELECT id FROM items LIMIT 10 OFFSET (SELECT COUNT(*) FROM secrets)":                                   "select",
+		"SELECT i.id FROM items i JOIN sales s ON s.item_id = i.id AND i.name IN (SELECT payload FROM secrets)": "select",
+		"SELECT COUNT(*) FROM items GROUP BY (SELECT payload FROM secrets WHERE id = 1)":                        "select",
+	}
+	const columnLeak = "SELECT s.id FROM items i JOIN secrets s ON i.id = s.id AND s.payload = 'classified'"
+	for _, disable := range []bool{false, true} {
+		e := newStoreEngine(t)
+		for _, tbl := range []string{"items", "sales"} {
+			e.Grants().GrantAll("u", tbl)
+			e.Grants().GrantAll("c", tbl)
+		}
+		e.Grants().GrantColumns("c", sqldb.ActionSelect, "secrets", []string{"id"})
+		// byToolkit: the toolkit's own refusal is expected; otherwise the
+		// engine's *sqldb.PermissionError.
+		refused := func(tk *Toolkit, tool, sql, object string, byToolkit bool) {
+			t.Helper()
+			h, ok := tk.Registry().Get(tool)
+			if !ok {
+				t.Fatalf("no %s tool", tool)
+			}
+			_, err := h.Handler(context.Background(), map[string]any{"sql": sql})
+			var pe *sqldb.PermissionError
+			if byToolkit {
+				want := fmt.Sprintf("permission denied: user %q lacks SELECT on %q (verified before execution)", tk.conn.User(), object)
+				if err == nil || err.Error() != want {
+					t.Errorf("%s: got %v, want %s", sql, err, want)
+				}
+			} else if !errors.As(err, &pe) || pe.Object != object {
+				t.Errorf("DisableVerification=%v, %s: got %v, want the engine's permission error on %s", disable, sql, err, object)
+			}
+		}
+		u := New(NewSQLDBConn(e, "u"), Policy{DisableVerification: disable})
+		for sql, tool := range leaks {
+			refused(u, tool, sql, "secrets", !disable)
+		}
+		// Verification checks tables, not columns: the engine refuses this.
+		c := New(NewSQLDBConn(e, "c"), Policy{DisableVerification: disable})
+		refused(c, "select", columnLeak, "secrets.payload", false)
+		if r := e.NewSession("root").MustExec("SELECT name FROM items WHERE id = 1"); r.Rows[0][0].S != "shirt" {
+			t.Fatalf("a refused UPDATE wrote items: %v", r.Rows)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package pgmcp
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -104,4 +105,44 @@ func TestExecuteSQLWireForm(t *testing.T) {
 	if res.Text != "id | v\n1 | a\n2 | b\n(2 rows)" || string(res.Data) != `{"columns":["id","v"],"rows":[[1,"a"],[2,"b"]]}` {
 		t.Fatalf("unexpected wire result: text %q data %s", res.Text, res.Data)
 	}
+}
+
+// PG-MCP has no tool-side verification, so the engine's privilege check is
+// the only gate: statements that read secrets only from a subquery in SET,
+// VALUES, ORDER BY, LIMIT, OFFSET, JOIN ... ON or GROUP BY, or an ungranted
+// column only in JOIN ... ON, must come back as engine permission errors.
+func TestEngineRefusesReadsInEveryExpressionSlot(t *testing.T) {
+	e := sqldb.NewEngine("store")
+	root := e.NewSession("root")
+	root.MustExec(`CREATE TABLE items (id INT PRIMARY KEY, name TEXT NOT NULL, category TEXT, price REAL)`)
+	root.MustExec(`CREATE TABLE sales (order_id INT PRIMARY KEY, item_id INT REFERENCES items(id), qty INT, amount REAL)`)
+	root.MustExec(`CREATE TABLE secrets (id INT PRIMARY KEY, payload TEXT)`)
+	root.MustExec(`INSERT INTO items VALUES (1, 'shirt', 'women', 19.99)`)
+	root.MustExec(`INSERT INTO secrets VALUES (1, 'classified')`)
+	for _, tbl := range []string{"items", "sales"} {
+		e.Grants().GrantAll("u", tbl)
+		e.Grants().GrantAll("c", tbl)
+	}
+	e.Grants().GrantColumns("c", sqldb.ActionSelect, "secrets", []string{"id"})
+	refused := func(user, sql, object string) {
+		t.Helper()
+		h, _ := New(core.NewSQLDBConn(e, user), Options{}).Registry().Get("execute_sql")
+		_, err := h.Handler(context.Background(), map[string]any{"sql": sql})
+		var pe *sqldb.PermissionError
+		if !errors.As(err, &pe) || pe.Object != object {
+			t.Errorf("%s: got %v, want a permission error on %s", sql, err, object)
+		}
+	}
+	for _, sql := range []string{
+		`UPDATE items SET name = (SELECT payload FROM secrets WHERE id = 1) WHERE id = 1`,
+		`INSERT INTO items VALUES (9, (SELECT payload FROM secrets WHERE id = 1), 'x', 1.0)`,
+		`SELECT id FROM items ORDER BY (SELECT COUNT(*) FROM secrets)`,
+		`SELECT id FROM items LIMIT (SELECT COUNT(*) FROM secrets)`,
+		`SELECT id FROM items LIMIT 10 OFFSET (SELECT COUNT(*) FROM secrets)`,
+		`SELECT i.id FROM items i JOIN sales s ON s.item_id = i.id AND i.name IN (SELECT payload FROM secrets)`,
+		`SELECT COUNT(*) FROM items GROUP BY (SELECT payload FROM secrets WHERE id = 1)`,
+	} {
+		refused("u", sql, "secrets")
+	}
+	refused("c", `SELECT s.id FROM items i JOIN secrets s ON i.id = s.id AND s.payload = 'classified'`, "secrets.payload")
 }

@@ -220,82 +220,126 @@ func (*RevokeStmt) StmtAction() Action      { return ActionGrant }
 
 // ReferencedTables returns every table name a statement touches, for
 // object-level privilege verification (paper §2.3, object-level tool
-// verification).
+// verification). The named or main table comes first, then the FROM
+// tables, then the tables read by subqueries in stmtExprs order, then those
+// of nested statements (a view's query, an EXPLAIN target). Names are
+// deduplicated case-insensitively, keeping the first spelling.
 func ReferencedTables(s Stmt) []string {
-	seen := map[string]bool{}
-	var out []string
+	return appendTables(nil, s)
+}
+
+func appendTables(out []string, s Stmt) []string {
 	add := func(name string) {
-		lo := strings.ToLower(name)
-		if name != "" && !seen[lo] {
-			seen[lo] = true
-			out = append(out, name)
+		if name == "" {
+			return
 		}
-	}
-	switch st := s.(type) {
-	case *SelectStmt:
-		for _, tr := range st.From {
-			add(tr.Table)
-		}
-		// Subqueries in expressions.
-		exprs := []Expr{st.Where, st.Having}
-		for _, it := range st.Items {
-			exprs = append(exprs, it.Expr)
-		}
-		for _, e := range exprs {
-			for _, t := range subqueryTables(e) {
-				add(t)
+		for _, o := range out {
+			if strings.EqualFold(o, name) {
+				return
 			}
 		}
-	case *InsertStmt:
-		add(st.Table)
-	case *UpdateStmt:
-		add(st.Table)
-		for _, t := range subqueryTables(st.Where) {
-			add(t)
+		out = append(out, name)
+	}
+	add(mainTable(s))
+	if sel, ok := s.(*SelectStmt); ok {
+		for _, tr := range sel.From {
+			add(tr.Table)
 		}
-	case *DeleteStmt:
-		add(st.Table)
-		for _, t := range subqueryTables(st.Where) {
-			add(t)
-		}
-	case *CreateTableStmt:
-		add(st.Table)
-	case *DropTableStmt:
-		add(st.Table)
-	case *CreateIndexStmt:
-		add(st.Table)
-	case *AlterTableStmt:
-		add(st.Table)
-	case *GrantStmt:
-		add(st.Table)
-	case *RevokeStmt:
-		add(st.Table)
+	}
+	stmtExprs(s, func(e Expr) {
+		walkExpr(e, func(x Expr) {
+			if sq, ok := x.(*SubqueryExpr); ok {
+				out = appendTables(out, sq.Query)
+			}
+		})
+	})
+	switch st := s.(type) {
 	case *CreateViewStmt:
-		add(st.Name)
-		for _, t := range ReferencedTables(st.Query) {
-			add(t)
-		}
-	case *DropViewStmt:
-		add(st.Name)
+		out = appendTables(out, st.Query)
 	case *ExplainStmt:
-		for _, t := range ReferencedTables(st.Stmt) {
-			add(t)
-		}
+		out = appendTables(out, st.Stmt)
 	}
 	return out
 }
 
-func subqueryTables(e Expr) []string {
-	if e == nil {
-		return nil
+// mainTable names the one table or view a statement acts on, or "" for
+// statements without one (SELECT, EXPLAIN, transaction control).
+func mainTable(stmt Stmt) string {
+	switch st := stmt.(type) {
+	case *InsertStmt:
+		return st.Table
+	case *UpdateStmt:
+		return st.Table
+	case *DeleteStmt:
+		return st.Table
+	case *CreateTableStmt:
+		return st.Table
+	case *DropTableStmt:
+		return st.Table
+	case *CreateIndexStmt:
+		return st.Table
+	case *AlterTableStmt:
+		return st.Table
+	case *GrantStmt:
+		return st.Table
+	case *RevokeStmt:
+		return st.Table
+	case *CreateViewStmt:
+		return st.Name
+	case *DropViewStmt:
+		return st.Name
 	}
-	var out []string
-	walkExpr(e, func(x Expr) {
-		if sq, ok := x.(*SubqueryExpr); ok {
-			out = append(out, ReferencedTables(sq.Query)...)
+	return ""
+}
+
+// stmtExprs calls fn on every top-level expression slot of s: the select
+// list, FROM ... ON, WHERE, GROUP BY, HAVING, ORDER BY, LIMIT, OFFSET, SET,
+// VALUES and column DEFAULTs. Absent optional slots are passed as nil. It
+// does not descend into nested statements; callers recurse into a view's
+// query or an EXPLAIN target themselves. This is the one list of where a
+// statement holds expressions: object verification, column privileges and
+// write-lock sets all read it.
+func stmtExprs(s Stmt, fn func(Expr)) {
+	switch st := s.(type) {
+	case *SelectStmt:
+		fn(st.Where)
+		fn(st.Having)
+		for _, it := range st.Items {
+			fn(it.Expr)
 		}
-	})
-	return out
+		for _, tr := range st.From {
+			fn(tr.On)
+		}
+		for _, e := range st.GroupBy {
+			fn(e)
+		}
+		for _, k := range st.OrderBy {
+			fn(k.Expr)
+		}
+		fn(st.Limit)
+		fn(st.Offset)
+	case *InsertStmt:
+		for _, row := range st.Rows {
+			for _, e := range row {
+				fn(e)
+			}
+		}
+	case *UpdateStmt:
+		fn(st.Where)
+		for _, a := range st.Set {
+			fn(a.Expr)
+		}
+	case *DeleteStmt:
+		fn(st.Where)
+	case *CreateTableStmt:
+		for _, c := range st.Columns {
+			fn(c.Default)
+		}
+	case *AlterTableStmt:
+		if st.AddColumn != nil {
+			fn(st.AddColumn.Default)
+		}
+	}
 }
 
 // walkExpr visits e and every child expression.

@@ -456,22 +456,6 @@ func (s *Session) checkStmtPrivileges(stmt Stmt) error {
 	return nil
 }
 
-func mainTable(stmt Stmt) string {
-	switch st := stmt.(type) {
-	case *InsertStmt:
-		return st.Table
-	case *UpdateStmt:
-		return st.Table
-	case *DeleteStmt:
-		return st.Table
-	case *DropTableStmt:
-		return st.Table
-	case *AlterTableStmt:
-		return st.Table
-	}
-	return ""
-}
-
 // rowSet is an intermediate relation: a column layout plus rows.
 type rowSet struct {
 	cols []envCol
@@ -1395,16 +1379,6 @@ func (s *Session) checkColumnPrivileges(st *SelectStmt) error {
 			}
 		})
 	}
-	for _, it := range st.Items {
-		checkRef(it.Expr)
-	}
-	checkRef(st.Where)
-	checkRef(st.Having)
-	for _, k := range st.OrderBy {
-		checkRef(k.Expr)
-	}
-	for _, ge := range st.GroupBy {
-		checkRef(ge)
-	}
+	stmtExprs(st, checkRef)
 	return bad
 }

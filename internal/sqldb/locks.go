@@ -190,24 +190,6 @@ func (e *Engine) writeLockNames(stmt Stmt) []string {
 	for _, t := range ReferencedTables(stmt) {
 		add(t)
 	}
-	// ReferencedTables covers WHERE subqueries; SET and VALUES expressions
-	// can also hold scalar subqueries that read other tables.
-	var exprs []Expr
-	switch st := stmt.(type) {
-	case *InsertStmt:
-		for _, row := range st.Rows {
-			exprs = append(exprs, row...)
-		}
-	case *UpdateStmt:
-		for _, set := range st.Set {
-			exprs = append(exprs, set.Expr)
-		}
-	}
-	for _, ex := range exprs {
-		for _, t := range subqueryTables(ex) {
-			add(t)
-		}
-	}
 	if t, ok := e.Table(mainTable(stmt)); ok {
 		for _, fk := range t.ForeignKeys {
 			add(fk.ParentTable)

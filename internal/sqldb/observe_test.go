@@ -150,7 +150,7 @@ func TestEngineStatsSnapshot(t *testing.T) {
 	s := plannerEngine(t)
 	e := s.Engine()
 
-	s.MustExec("SELECT name FROM emp")       // select, 60 rows
+	s.MustExec("SELECT name FROM emp")              // select, 60 rows
 	s.MustExec("INSERT INTO dept VALUES (9, 'qa')") // insert
 	e.NoteTxnRetry()
 

@@ -259,11 +259,6 @@ func (g *Grants) ObjectActions(user, object string) []Action {
 	return out
 }
 
-// HasAny reports whether the user holds at least one action on the object.
-func (g *Grants) HasAny(user, object string) bool {
-	return len(g.ObjectActions(user, object)) > 0
-}
-
 // dump serializes the whole privilege store as a sequence of idempotent
 // changes, sorted for deterministic snapshots. Applying them in order to an
 // empty store reproduces the current state.
@@ -338,18 +333,4 @@ func (g *Grants) apply(ch grantChange) {
 	case grantOpGrantCols:
 		g.GrantColumns(ch.User, ch.Action, ch.Object, ch.Columns)
 	}
-}
-
-// ActionStrings formats a list of actions, or "ALL" when the list covers
-// every grantable action.
-func ActionStrings(actions []Action) string {
-	if len(actions) == len(AllActions) {
-		return "ALL"
-	}
-	parts := make([]string, len(actions))
-	for i, a := range actions {
-		parts[i] = a.String()
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ", ")
 }

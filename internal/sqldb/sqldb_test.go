@@ -564,17 +564,6 @@ func TestStatementVerb(t *testing.T) {
 	}
 }
 
-func TestReferencedTables(t *testing.T) {
-	stmt, err := Parse(`SELECT a.x FROM t1 a JOIN t2 ON a.id = t2.id WHERE a.y IN (SELECT z FROM t3)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ReferencedTables(stmt)
-	if len(got) != 3 {
-		t.Fatalf("want 3 tables, got %v", got)
-	}
-}
-
 func TestSchemaSQL(t *testing.T) {
 	e, _ := newTestEngine(t)
 	tab, _ := e.Table("sales")
